@@ -4,12 +4,13 @@
  * sensitivity — validating the Section 3.2 claim that L1-D MSHRs
  * (8-10 in practical designs) cap the useful walker count at 4-5.
  *
- * A second table puts the *measured* software walker pool next to
- * the simulated Widx points: sw::WalkerPool runs K real walker
- * threads (each an AMAC ring of 8 probe machines) off one shared
- * dispatch window, so its K-scaling curve is the software analogue
- * of the hardware walker count — compare its K=4/K=1 speedup with
- * the simulated 4-walker/1-walker cycles-per-tuple ratio.
+ * A second table puts the *measured* software walkers next to the
+ * simulated Widx points: an sw::IndexService over the kernel index
+ * runs K persistent walker threads (each an AMAC ring of 8 probe
+ * machines) draining the dispatch windows of one request stream, so
+ * its K-scaling curve is the software analogue of the hardware
+ * walker count — compare its K=4/K=1 speedup with the simulated
+ * 4-walker/1-walker cycles-per-tuple ratio.
  */
 
 #include <chrono>
@@ -19,29 +20,30 @@
 
 #include "accel/engine.hh"
 #include "common/table_printer.hh"
-#include "swwalkers/walker_pool.hh"
+#include "service/index_service.hh"
 #include "workload/join_kernel.hh"
 
 using namespace widx;
 
 namespace {
 
-/** Measured pool throughput (M probes/s) at K walker threads. */
+/** Measured service throughput (M probes/s) at K walker threads:
+ *  count-only requests, each the kernel's whole probe column. */
 double
-poolMProbesPerSec(const wl::KernelDataset &data, unsigned walkers)
+serviceMProbesPerSec(const wl::KernelDataset &data, unsigned walkers)
 {
     const std::span<const u64> keys{
         reinterpret_cast<const u64 *>(
             std::uintptr_t(data.probeKeys->baseAddr())),
         data.probeKeys->size()};
-    sw::PipelineConfig cfg;
+    sw::ServiceConfig cfg;
     cfg.walkers = walkers;
-    sw::WalkerPool pool(*data.index, 8, cfg);
-    pool.probeAll(keys); // warm the index + page tables
+    sw::IndexService service(*data.index, cfg);
+    service.count(keys); // warm the index + page tables
     const int reps = 5;
     auto start = std::chrono::steady_clock::now();
     for (int r = 0; r < reps; ++r)
-        pool.probeAll(keys);
+        service.count(keys);
     const double secs =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
@@ -82,7 +84,7 @@ main()
                 "too.\n\n");
 
     // Simulated 4-walker/1-walker speedup at the Table 2 config,
-    // for comparison against the measured software pool.
+    // for comparison against the measured software walkers.
     double sim_cpt[2] = {0.0, 0.0};
     for (int p = 0; p < 2; ++p) {
         accel::OffloadSpec spec;
@@ -96,13 +98,14 @@ main()
     }
 
     TablePrinter sw_scale(
-        "Measured software walker pool on the Large kernel "
-        "(AMAC W=8, tagged, shared dispatch window)");
+        "Measured IndexService walkers on the Large kernel "
+        "(AMAC W=8, tagged, count requests)");
     sw_scale.header({"Walker threads", "M probes/s",
                      "Speedup vs K=1"});
-    const double base = poolMProbesPerSec(data, 1);
+    const double base = serviceMProbesPerSec(data, 1);
     for (unsigned k : {1u, 2u, 4u, 8u}) {
-        const double mps = k == 1 ? base : poolMProbesPerSec(data, k);
+        const double mps =
+            k == 1 ? base : serviceMProbesPerSec(data, k);
         sw_scale.addRow({std::to_string(k), TablePrinter::fmt(mps, 2),
                          TablePrinter::fmt(mps / base, 2) + "x"});
     }

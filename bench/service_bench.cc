@@ -4,12 +4,11 @@
  * repeated-small-probe regime the service exists for, closed-loop
  * multi-client throughput/latency, and shard/walker scaling.
  *
- * The headline comparison is per-call overhead on repeated small
- * probes: BM_PoolSmallProbe pays a K-thread spawn + join on every
- * call (the one-shot WalkerPool), BM_ServiceSmallProbe submits to
- * walkers parked on a condvar. The service must cut the per-call
- * cost by >= 5x (tracked by the bench-regression gate via
- * bench/baseline.json).
+ * The small-probe rows measure per-call overhead:
+ * BM_ServiceSmallProbe submits 64-key requests to walkers parked on
+ * a condvar (pinned at K:1 by the bench-regression gate via
+ * bench/baseline.json). BM_ServiceLargeProbe is the walker K-scaling
+ * sweep on the DRAM-resident dataset.
  *
  * Results land in BENCH_service.json (benchmark's JSON format)
  * unless --benchmark_out is given, so CI can gate and archive them
@@ -34,7 +33,6 @@
 #include "obs/metrics.hh"
 #include "service/index_service.hh"
 #include "service/open_loop.hh"
-#include "swwalkers/walker_pool.hh"
 #include "workload/distributions.hh"
 
 using namespace widx;
@@ -94,34 +92,8 @@ reportKeys(benchmark::State &state, std::size_t keys_per_iter,
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Repeated small probes: spawn-per-call pool vs parked service.
+// Repeated small probes against parked walkers.
 // ---------------------------------------------------------------------------
-
-// Args: K.
-static void
-BM_PoolSmallProbe(benchmark::State &state)
-{
-    Dataset &d = small();
-    sw::PipelineConfig cfg{.walkers = unsigned(state.range(0))};
-    sw::WalkerPool pool(*d.index, 8, cfg);
-    u64 matches = 0;
-    std::size_t base = 0;
-    for (auto _ : state) {
-        // Every call spawns and joins K threads — the tax under
-        // measurement.
-        matches += pool.probeAll(
-            {d.keys.data() + base, kSmallProbe});
-        base = (base + kSmallProbe) % (d.keys.size() - kSmallProbe);
-    }
-    reportKeys(state, kSmallProbe, matches);
-}
-BENCHMARK(BM_PoolSmallProbe)
-    ->ArgNames({"K"})
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
 
 // Args: K.
 static void

@@ -1,13 +1,14 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the software walkers
- * (Section 7's "insights applicable elsewhere", and the AMAC /
- * coroutine-interleaving line of work this paper seeded).
+ * (Section 7's "insights applicable elsewhere", and the AMAC line
+ * of work this paper seeded).
  *
  * On a DRAM-resident index the interleaved probers (group prefetch,
- * AMAC, coroutines) overlap cache misses across probes — the same
- * inter-key parallelism Widx exploits with hardware walkers — and
- * beat the scalar Listing 1 loop by integer factors on real hardware.
+ * AMAC) overlap cache misses across probes — the same inter-key
+ * parallelism Widx exploits with hardware walkers — and beat the
+ * scalar Listing 1 loop by integer factors on real hardware. The
+ * multi-walker (K-thread) rows live in service_bench.
  *
  * Every prober is measured in pipeline variants: inline vs batched
  * dispatch (arg "batch": 0 = hash each key right before its walk,
@@ -22,18 +23,14 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/arena.hh"
 #include "common/rng.hh"
-#include "swwalkers/coro.hh"
 #include "swwalkers/probers.hh"
-#include "swwalkers/walker_pool.hh"
 #include "workload/distributions.hh"
 
 using namespace widx;
@@ -162,24 +159,6 @@ BENCHMARK(BM_Amac)
     ->Args({8, 64, 1}) // the headline configuration
     ->Args({16, 64, 1});
 
-// Args: width, batch, tag.
-static void
-BM_Coro(benchmark::State &state)
-{
-    Dataset &d = large();
-    sw::CoroProber prober(*d.index, unsigned(state.range(0)),
-                          cfgFromArgs(state, 1, 2));
-    u64 matches = 0;
-    for (auto _ : state)
-        matches = prober.probeAll(d.keys);
-    reportTuples(state, d.keys, matches);
-}
-BENCHMARK(BM_Coro)
-    ->ArgNames({"W", "batch", "tag"})
-    ->Args({4, 64, 1})
-    ->Args({8, 64, 1})
-    ->Args({16, 64, 1});
-
 // Tag-filter isolation: every probe misses; the tagged pipeline
 // rejects on the byte array without ever touching a bucket line.
 // Args: tag.
@@ -241,85 +220,6 @@ BM_TagFilter(benchmark::State &state)
     benchmark::DoNotOptimize(bits);
 }
 BENCHMARK(BM_TagFilter)->ArgNames({"simd"})->Arg(0)->Arg(1);
-
-// ---------------------------------------------------------------------------
-// WalkerPool: one dispatcher thread feeding K walker threads off the
-// shared window ring — the software analogue of scaling the paper's
-// walker count. Count-only probes (no sink buffering) so the sweep
-// measures pure probe throughput.
-// ---------------------------------------------------------------------------
-
-// Args: dataset (0 small / 1 large), K, W, tag, miss.
-static void
-BM_Pool(benchmark::State &state)
-{
-    Dataset &d = state.range(0) ? large() : small();
-    const std::vector<u64> &keys =
-        state.range(4) ? d.missKeys : d.keys;
-    sw::PipelineConfig cfg{.batch = 64,
-                           .tagged = state.range(3) != 0,
-                           .walkers = unsigned(state.range(1))};
-    sw::WalkerPool pool(*d.index, unsigned(state.range(2)), cfg);
-    u64 matches = 0;
-    for (auto _ : state)
-        matches = pool.probeAll(keys);
-    reportTuples(state, keys, matches);
-}
-
-/** Walker ladder: 1, 2, 4 always (so the K=1 baseline and the
- *  paper's 4-walker design point are recorded on every host), then
- *  powers of two up to the machine's hardware concurrency. */
-static std::vector<int>
-walkerLadder()
-{
-    std::vector<int> ks{1, 2, 4};
-    for (int k = 8; unsigned(k) <= sw::WalkerPool::defaultWalkers();
-         k *= 2)
-        ks.push_back(k);
-    return ks;
-}
-
-static void
-poolArgs(benchmark::internal::Benchmark *b)
-{
-    // Small-dataset rows ride the CI smoke filter ('large:0') and
-    // feed the bench-regression gate.
-    for (int k : {1, 2, 4})
-        b->Args({0, k, 8, 1, 0});
-    // Large (DRAM-resident): the full hit/miss x tagged/untagged
-    // scaling sweep, K = 1..hardware_concurrency.
-    for (int k : walkerLadder())
-        for (int miss : {0, 1})
-            for (int tag : {0, 1})
-                b->Args({1, k, 8, tag, miss});
-}
-BENCHMARK(BM_Pool)
-    ->ArgNames({"large", "K", "W", "tag", "miss"})
-    ->Apply(poolArgs)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
-// Args: K (coroutine engine point-check at the headline config).
-static void
-BM_PoolCoro(benchmark::State &state)
-{
-    Dataset &d = large();
-    sw::PipelineConfig cfg{.batch = 64,
-                           .tagged = true,
-                           .walkers = unsigned(state.range(0))};
-    sw::WalkerPool pool(*d.index, 8, cfg, sw::WalkerEngine::Coro);
-    u64 matches = 0;
-    for (auto _ : state)
-        matches = pool.probeAll(d.keys);
-    reportTuples(state, d.keys, matches);
-}
-BENCHMARK(BM_PoolCoro)
-    ->ArgNames({"K"})
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
 
 /** BENCHMARK_MAIN, plus a default JSON results file so the perf
  *  trajectory is machine-readable from every run. */

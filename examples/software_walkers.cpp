@@ -2,11 +2,11 @@
  * @file
  * Software-walkers example: the paper's insight on real hardware.
  *
- * Builds a DRAM-resident index and probes it with the four software
- * schedules (scalar, group prefetch, AMAC, C++20 coroutines),
- * reporting wall-clock throughput. On most machines the interleaved
- * schedules win by 2-5x — the same inter-key parallelism Widx
- * harvests with hardware walker units.
+ * Builds a DRAM-resident index and probes it with the three software
+ * schedules (scalar, group prefetch, AMAC), reporting wall-clock
+ * throughput. On most machines the interleaved schedules win by
+ * 2-5x — the same inter-key parallelism Widx harvests with hardware
+ * walker units.
  */
 
 #include <chrono>
@@ -14,7 +14,6 @@
 
 #include "common/arena.hh"
 #include "common/rng.hh"
-#include "swwalkers/coro.hh"
 #include "swwalkers/probers.hh"
 #include "workload/distributions.hh"
 
@@ -87,8 +86,6 @@ main()
     run("group prefetch (G=16)",
         sw::GroupPrefetchProber(index, 16), keys, expected, base);
     run("AMAC (W=8)", sw::AmacProber(index, 8), keys, expected,
-        base);
-    run("coroutines (W=8)", sw::CoroProber(index, 8), keys, expected,
         base);
     return 0;
 }

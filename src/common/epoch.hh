@@ -5,7 +5,7 @@
  * The walkers never take locks on the probe path (the whole point of
  * the Widx schedule is to keep the miss pipeline full), so a writer
  * that unlinks a node or swaps out a bucket array cannot free the
- * memory immediately: a paused probe coroutine may still hold a
+ * memory immediately: an in-flight AMAC probe may still hold a
  * pointer into it. The classic answer is epoch-based reclamation
  * (Fraser's scheme, as used by every serious lock-free index since):
  *

@@ -629,13 +629,13 @@ class HashIndex
 
     // --- Probe surface (hash-addressed) --------------------------------
     //
-    // The interleaved drains (sw::amacDrain / sw::coroDrain) are
-    // templated on an Index type exposing these four calls, so the
-    // same state machines serve a flat HashIndex and the service's
-    // hash-range-sharded sw::ShardedIndex. Everything is addressed
-    // by the full hash: how the hash folds into an array index (one
-    // bucket mask here, shard-selector bits plus a per-shard mask
-    // there) stays the index's business.
+    // The interleaved drain (sw::amacDrain) is templated on an
+    // Index type exposing these calls, so the same state machine
+    // serves a flat HashIndex and the service's hash-range-sharded
+    // sw::ShardedIndex. Everything is addressed by the full hash:
+    // how the hash folds into an array index (one bucket mask here,
+    // shard-selector bits plus a per-shard mask there) stays the
+    // index's business.
 
     /** tagMayMatch from the full hash. */
     bool
@@ -644,7 +644,7 @@ class HashIndex
         return tagByte(bucketIndexOf(hash)) & tagOf(hash);
     }
 
-    /** Address of the hash's tag byte (coroutine tag prefetch). */
+    /** Address of the hash's tag byte (tag-line prefetch). */
     const u8 *
     tagAddrFor(u64 hash) const
     {
@@ -672,7 +672,7 @@ class HashIndex
     // --- Statistics ----------------------------------------------------
 
     /** Observed tag-filter effectiveness (fed by the batched sweep
-     *  paths: probeBatch, walker-pool chunks, service windows). */
+     *  paths: probeBatch, service windows). */
     const TagFilterStats &tagStats() const { return tagStats_; }
 
     /** Adaptive tagging: keep the filter on? (see TagFilterStats;

@@ -47,8 +47,7 @@ probeAll(const HashIndex &index, const Column &probe_keys,
         // onto, constructed and torn down around this single call.
         // probeSeconds covers the service's thread spawn and join
         // too: that per-call tax is real for one-shot callers (it's
-        // exactly what holding a service amortizes), and PR 2's
-        // pool path timed it the same way.
+        // exactly what holding a service amortizes).
         auto start = std::chrono::steady_clock::now();
         JoinResult result;
         {

@@ -75,8 +75,8 @@ JoinResult hashJoin(const Column &build_keys, const Column &probe_keys,
 /**
  * Probe an existing index with every key of a column; the core of
  * Listing 1's do_index. Used by tests and by the host-side Fig. 2
- * measurement. cfg.walkers > 1 probes on a sw::WalkerPool (see
- * hashJoin).
+ * measurement. cfg.walkers > 1 probes on a scoped sw::IndexService
+ * (see hashJoin).
  */
 JoinResult probeAll(const HashIndex &index, const Column &probe_keys,
                     bool materialize = true,

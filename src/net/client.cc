@@ -13,8 +13,7 @@
 
 namespace widx::net {
 
-TcpIndexClient::TcpIndexClient(const std::string &host, u16 port,
-                               bool sayHello)
+TcpIndexClient::TcpIndexClient(const std::string &host, u16 port)
 {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     fatal_if(fd_ < 0, "socket(): %s", errnoText(errno).c_str());
@@ -30,11 +29,11 @@ TcpIndexClient::TcpIndexClient(const std::string &host, u16 port,
              errnoText(errno).c_str());
     const int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (sayHello) {
+    {
         // Fire-and-continue: frames are processed in order on the
         // server, so anything submitted after this is evaluated on
-        // a v2 connection; the response lands in readerMain and
-        // stamps serverVersion_.
+        // a connection that said Hello; the response lands in
+        // readerMain and stamps serverVersion_.
         MutexLock lk(writeM_);
         wbuf_.clear();
         appendHello(wbuf_, /*reqId=*/0);

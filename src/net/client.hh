@@ -41,13 +41,10 @@ namespace widx::net {
 class TcpIndexClient
 {
   public:
-    /** Connects (blocking) to host:port; fatal()s on failure. By
-     *  default the connection opens with a v2 Hello handshake,
-     *  unlocking the mutation kinds; `sayHello = false` speaks the
-     *  v1 read-only baseline (useful against old servers, and for
-     *  exercising the server's v1-compat path). */
-    TcpIndexClient(const std::string &host, u16 port,
-                   bool sayHello = true);
+    /** Connects (blocking) to host:port; fatal()s on failure. The
+     *  connection opens with the Hello handshake the server
+     *  requires before any other frame. */
+    TcpIndexClient(const std::string &host, u16 port);
     ~TcpIndexClient();
 
     TcpIndexClient(const TcpIndexClient &) = delete;
@@ -83,8 +80,7 @@ class TcpIndexClient
     bool ok() const { return ok_.load(std::memory_order_acquire); }
 
     /** The server's protocol version from its Hello response; 0
-     *  until that response arrives (or forever, when constructed
-     *  with `sayHello = false`). */
+     *  until that response arrives. */
     u64 serverVersion() const
     {
         return serverVersion_.load(std::memory_order_acquire);

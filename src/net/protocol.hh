@@ -14,9 +14,9 @@
  * payload array:
  *
  *     u64 reqId     client-chosen correlation id, echoed back
- *     u8  kind      wire kind: 0 Count, 1 Probe, 2 Join (the
- *                   RequestKind bytes, unchanged since v1), the
- *                   wire-only kWireKindStats (3: scrape the server's
+ *     u8  kind      wire kind: 0 Count, 1 Probe, 2 Join (their
+ *                   RequestKind bytes), the wire-only
+ *                   kWireKindStats (3: scrape the server's
  *                   metrics registry, nKeys must be 0) and
  *                   kWireKindHello (4: version handshake, see
  *                   below), or the v2 mutation kinds 5 Insert,
@@ -42,20 +42,18 @@
  *     u64 keys[nKeys]
  *     u64 payloads[nKeys]  only when flags bit 1 is set
  *
- * Versioning: the baseline protocol (v1) is the read-only surface —
- * Count/Probe/Join/Stats. v2 adds the Hello handshake and the
- * mutation kinds. A v2 client opens with one Hello frame (kind 4,
- * nKeys = 1, the single "key" carrying kWireProtocolVersion); the
- * server answers with a Hello response (matches = its own version)
- * and unlocks the mutation kinds on that connection. A connection
- * that never said Hello is served as v1: reads work byte-identically
- * to the pre-versioned protocol, and a mutation frame completes with
- * a clean Status::UnsupportedVersion response instead of being
- * served. A Hello announcing a version the server does not speak is
- * answered with Status::UnsupportedVersion and the connection is
- * closed after the response flushes. Old servers treat kind 4 as a
- * framing error and drop the connection — a new client talking to an
- * old server fails fast rather than silently losing writes.
+ * Versioning: every connection opens with one Hello frame (kind 4,
+ * nKeys = 1, the single "key" carrying kWireProtocolVersion, which
+ * is 2); the server answers with a Hello response (matches = its own
+ * version), and only then serves the connection's other frames. A
+ * Hello announcing a version the server does not speak, and any
+ * well-formed frame ahead of the Hello, is answered with
+ * Status::UnsupportedVersion (the refusal echoes the frame's kind)
+ * and the connection is closed after the response flushes. Framing
+ * checks run first, so a malformed frame is a framing error whether
+ * or not Hello was said. Servers that predate v2 treat kind 4 as a
+ * framing error and drop the connection — the client fails fast
+ * rather than silently losing writes.
  *
  * A response payload is a 24-byte header followed by the records:
  *
@@ -128,8 +126,8 @@ inline constexpr u8 kReqFlagPayloads = 0x2;
  *  request carries no keys, no deadline, no trace id. */
 inline constexpr u8 kWireKindStats = 3;
 
-/** The protocol version this build speaks. v1 is the implicit
- *  read-only baseline (no Hello); v2 adds Hello + mutations. */
+/** The protocol version this build speaks and requires in the
+ *  connection's opening Hello (v2: Hello + mutations). */
 inline constexpr u64 kWireProtocolVersion = 2;
 
 /** Wire-only request kind: version handshake. nKeys = 1 and the
@@ -151,8 +149,8 @@ wireKindIsMutation(u8 w)
     return w >= kWireKindInsert && w <= kWireKindUpsert;
 }
 
-/** Service kind -> wire kind byte. Count/Probe/Join keep their v1
- *  bytes; mutation kinds shift past Stats/Hello. */
+/** Service kind -> wire kind byte. Count/Probe/Join keep their
+ *  RequestKind bytes; mutation kinds shift past Stats/Hello. */
 constexpr u8
 wireKindOf(sw::RequestKind k)
 {
@@ -303,6 +301,24 @@ appendHelloResponse(std::vector<u8> &out, u64 reqId, sw::Status st)
     h.status = u8(st);
     h.kind = kWireKindHello;
     h.matches = kWireProtocolVersion;
+    const u32 len = u32(sizeof(h));
+    appendBytes(out, &len, sizeof(len));
+    appendBytes(out, &h, sizeof(h));
+}
+
+/** Serialize a record-less response echoing a request's wire kind
+ *  byte: how the front-end refuses a well-formed frame it will not
+ *  serve (UnsupportedVersion ahead of the Hello). `matches` is 0,
+ *  so it parses as an empty non-Ok result for every kind, Stats
+ *  included. */
+inline void
+appendStatusResponse(std::vector<u8> &out, u64 reqId, u8 wireKind,
+                     sw::Status st)
+{
+    RespHeader h;
+    h.reqId = reqId;
+    h.status = u8(st);
+    h.kind = wireKind;
     const u32 len = u32(sizeof(h));
     appendBytes(out, &len, sizeof(len));
     appendBytes(out, &h, sizeof(h));

@@ -213,9 +213,26 @@ TcpIndexServer::handleReadable(int fd)
             nResponses_.fetch_add(1, std::memory_order_relaxed);
             inlineQueued = true;
             if (speak)
-                c.version = kWireProtocolVersion;
+                c.saidHello = true;
             else
                 c.closeOnDrain = true;
+            continue;
+        }
+        if (!c.saidHello) {
+            // A well-formed frame ahead of the Hello: the protocol
+            // requires the handshake first. Answer it honestly
+            // (echoing its kind) and close once the answer drains,
+            // the same answer-then-close as an unsupported Hello.
+            {
+                // widx-lint: allow(blocking) -- bounded buffer
+                // append shared with the reaper; no I/O under it.
+                MutexLock lk(connM_);
+                appendStatusResponse(c.out, h.reqId, h.kind,
+                                     sw::Status::UnsupportedVersion);
+            }
+            nResponses_.fetch_add(1, std::memory_order_relaxed);
+            inlineQueued = true;
+            c.closeOnDrain = true;
             continue;
         }
         if (h.kind == kWireKindStats) {
@@ -241,24 +258,6 @@ TcpIndexServer::handleReadable(int fd)
         if (!serviceKindOfWire(h.kind, kind)) {
             bad = true; // parseRequest admits only mapped kinds here
             break;
-        }
-        if (wireKindIsMutation(h.kind) &&
-            c.version < kWireProtocolVersion) {
-            // A well-formed mutation frame on a connection that
-            // never said Hello: refuse it cleanly rather than
-            // dropping the connection — the frame is valid, the
-            // capability just is not negotiated.
-            sw::ServiceResult r;
-            r.status = sw::Status::UnsupportedVersion;
-            {
-                // widx-lint: allow(blocking) -- bounded buffer
-                // append shared with the reaper; no I/O under it.
-                MutexLock lk(connM_);
-                appendResponse(c.out, h.reqId, kind, r);
-            }
-            nResponses_.fetch_add(1, std::memory_order_relaxed);
-            inlineQueued = true;
-            continue;
         }
         pr->fd = fd;
         pr->gen = c.gen;
@@ -324,8 +323,9 @@ TcpIndexServer::flushConn(int fd, Conn &c)
         }
     }
     if (dead || (drained && c.closeOnDrain)) {
-        // Version-mismatch connections drop once their
-        // UnsupportedVersion answer has flushed.
+        // Connections refused for their version (or for skipping
+        // the Hello) drop once their UnsupportedVersion answer has
+        // flushed.
         closeConn(fd);
         return;
     }

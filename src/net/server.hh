@@ -7,7 +7,7 @@
  * dispatcher side — per-connection frame bursts submit
  * back-to-back, so a pipelining client's requests coalesce into the
  * service's open admission windows exactly like co-arriving local
- * submitters), and the service's walker pool drains them. A second
+ * submitters), and the service's walkers drain them. A second
  * thread reaps the service's CompletionQueue in batches, serializes
  * response frames, and hands them to the event loop to write — so
  * walkers never block on a slow socket and sockets never wait on a
@@ -108,14 +108,15 @@ class TcpIndexServer
         std::vector<u8> out; ///< serialized, unwritten responses
         std::size_t outOff = 0;
         bool wantWrite = false; ///< EPOLLOUT currently armed
-        /** Negotiated wire protocol version: 1 until the client
-         *  says Hello. Mutation frames on a v1 connection complete
-         *  with Status::UnsupportedVersion instead of being served.
+        /** Set by a Hello naming kWireProtocolVersion. Until then
+         *  any other well-formed frame is refused with
+         *  Status::UnsupportedVersion (and closeOnDrain set).
          *  Loop-thread-only (the reaper never reads it). */
-        u64 version = 1;
+        bool saidHello = false;
         /** Answer-then-close: set when a Hello announces a version
-         *  we do not speak; the connection drops once the buffered
-         *  UnsupportedVersion response drains. Loop-thread-only. */
+         *  we do not speak, or a frame arrives ahead of the Hello;
+         *  the connection drops once the buffered UnsupportedVersion
+         *  response drains. Loop-thread-only. */
         bool closeOnDrain = false;
     };
 

@@ -7,7 +7,6 @@
 #include "obs/metrics.hh"
 #include "obs/perf_group.hh"
 #include "obs/trace.hh"
-#include "swwalkers/coro.hh"
 
 namespace widx::sw {
 
@@ -403,7 +402,7 @@ IndexService::start()
         // Shards whose node has no walker deal round-robin across
         // all walkers, preserving the exactly-one-home-walker
         // invariant (homeShards() exposes it; stealing covers the
-        // rest of the pool).
+        // rest of the walkers).
         walkerNode_.resize(walkers);
         std::vector<std::vector<unsigned>> nodeWalkers(N);
         for (unsigned w = 0; w < walkers; ++w) {
@@ -915,7 +914,7 @@ IndexService::submitAffine(
             req->perSlot.resize(slots);
     }
     // A scatter typically touches several shard queues; wake the
-    // pool and let home-first claiming sort out who drains what.
+    // walkers and let home-first claiming sort out who drains what.
     cv_.notifyAll();
     return true;
 }
@@ -1141,7 +1140,7 @@ IndexService::claimAffine(unsigned w, Window &win, bool &stolen)
     };
     // Home queues first — sealed before open, same as the shared
     // path — then steal across the other shards so a skewed shard
-    // never idles the pool while its home walkers are behind.
+    // never idles a walker while its home walkers are behind.
     if (sealedCount_ > 0) {
         for (unsigned s : home_[w])
             if (!shardSealed_[s].empty()) {
@@ -1351,8 +1350,8 @@ IndexService::drainGathered(const Index &idx, Window &win,
         idx.prefetchStage(hashes, off, false);
     }
 
-    // Drain through the interleaved engine; records land in
-    // per-segment scratch tagged with request-relative positions.
+    // Drain through the AMAC ring; records land in per-segment
+    // scratch tagged with request-relative positions.
     std::vector<std::vector<MatchRec>> seg_recs(win.segs.size());
     std::vector<u64> seg_count(win.segs.size(), 0);
     auto sink = [&](std::size_t o, u64 key, u64 payload) {
@@ -1363,15 +1362,12 @@ IndexService::drainGathered(const Index &idx, Window &win,
             seg_recs[r.seg].push_back({r.pos, key, payload});
     };
     HashedChunkStream stream(wkeys, hashes, off,
-                             tagged ? bits : nullptr, 0);
-    if (cfg_.engine == WalkerEngine::Coro)
-        coroDrain(idx, stream, width_, false, sink);
-    else
-        amacDrain(idx, stream, width_, false, sink);
+                             tagged ? bits : nullptr);
+    amacDrain(idx, stream, width_, false, sink);
 
     // Retire each segment: records sort back into probeBatch order
-    // (stable on key position — the engines interleave across keys
-    // but emit each key's matches in chain order), land in the
+    // (stable on key position — the drain interleaves across keys
+    // but emits each key's matches in chain order), land in the
     // request's (request, slot) merge slot, and the last slot to
     // retire assembles and publishes the result.
     for (std::size_t s = 0; s < win.segs.size(); ++s) {

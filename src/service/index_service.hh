@@ -3,12 +3,11 @@
  * Persistent index service: always-on walkers serving concurrent
  * probe / count / hash-join requests.
  *
- * The paper's dispatcher/walker split — and PR 2's WalkerPool —
- * assume one big probe phase: spawn K threads, drain one key span,
- * join. A server handling many small concurrent queries inverts the
- * shape: requests are tiny, arrive from many client threads, and
- * never stop. IndexService turns the walker machinery into a
- * long-lived server object:
+ * The paper's dispatcher/walker split assumes one big probe phase:
+ * spawn K threads, drain one key span, join. A server handling many
+ * small concurrent queries inverts the shape: requests are tiny,
+ * arrive from many client threads, and never stop. IndexService
+ * turns the walker machinery into a long-lived server object:
  *
  *  - **Shards.** The service owns a ShardedIndex: the bucket+tag
  *    space hash-range-partitioned into S per-arena shards (shard
@@ -39,9 +38,8 @@
  *    window where concurrent small requests coalesce. A walker with
  *    nothing sealed grabs the open window as-is, so a lone small
  *    request is served immediately — but when walkers are busy the
- *    open window keeps filling, and the AMAC/coroutine drains see
- *    full-width windows even when every client sends a handful of
- *    keys.
+ *    open window keeps filling, and the AMAC drains see full-width
+ *    windows even when every client sends a handful of keys.
  *
  *  - **Shard-affine routing** (ServiceConfig::affineRouting, the
  *    topology path). submit() vector-hashes the request's keys at
@@ -51,7 +49,7 @@
  *    the topology (walkers and shards block-distribute over the
  *    same NUMA nodes) and serves its home windows first, stealing
  *    from other shards only when its own queues are empty, so a
- *    skewed shard never idles the pool. An affine window holds keys
+ *    skewed shard never idles a walker. An affine window holds keys
  *    of exactly one shard, so its drain runs against that shard's
  *    flat HashIndex — no per-key shard resolve, per-shard AVX2 tag
  *    filter — on arena pages that NodeBound placement put on the

@@ -83,10 +83,8 @@ struct ServiceConfig
     /** Persistent walker threads parked between requests (clamped
      *  to [1, kMaxWalkers]). */
     unsigned walkers = 1;
-    /** In-flight probes per walker drain (AMAC/coro W). */
+    /** In-flight probes per walker drain (AMAC W). */
     unsigned width = 8;
-    /** Probe state machine the walkers run. */
-    WalkerEngine engine = WalkerEngine::Amac;
     /** Shared pipeline knobs: `batch` is the dispatch-window size
      *  requests are chunked into (and small requests coalesce up
      *  to), `tagged`/`adaptiveTags` control the fingerprint filter.
@@ -107,7 +105,7 @@ struct ServiceConfig
      * hashed at admission), every walker gets a *home shard set*
      * from the topology (walkers and shards block-distribute over
      * the same nodes), and windows route to home walkers first with
-     * work-stealing fallback so skewed shards don't idle the pool.
+     * work-stealing fallback so skewed shards don't idle walkers.
      * A window then drains against one shard's flat HashIndex — no
      * per-key shard resolve, per-shard AVX2 tag filter — and, with
      * NodeBound placement + pinWalkers, against arena pages on the

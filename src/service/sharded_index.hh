@@ -20,9 +20,9 @@
  * per-key match sets and chain order match the flat index.
  *
  * The class exposes the same hash-addressed probe surface the
- * interleaved drains are templated on (tagMayMatchHash /
- * tagAddrFor / bucketHeadFor / nodeKey, plus the batched dispatch
- * kernels), so amacDrain/coroDrain run unchanged against it. A
+ * interleaved drain is templated on (tagMayMatchHash /
+ * bucketHeadFor / nodeKey, plus the batched dispatch kernels), so
+ * amacDrain runs unchanged against it. A
  * single-shard instance — including the view-of-an-existing-index
  * mode the service uses for one-shot calls — short-circuits to the
  * flat index, keeping the AVX2 tag filter and skipping the shard

@@ -14,17 +14,8 @@
 
 namespace widx::sw {
 
-/** Hard cap on walker threads (ring sizing, sanity) — shared by
- *  the WalkerPool and the IndexService. */
+/** Hard cap on IndexService walker threads (sanity). */
 inline constexpr unsigned kMaxWalkers = 64;
-
-/** Probe state machine run by each walker thread (WalkerPool and
- *  IndexService walkers alike). */
-enum class WalkerEngine
-{
-    Amac, ///< AMAC ring of W explicit state machines
-    Coro, ///< the same schedule as C++20 coroutines
-};
 
 /** Shared pipeline knobs. */
 struct PipelineConfig
@@ -32,9 +23,8 @@ struct PipelineConfig
     /** Keys hashed per dispatcher batch; 0 = inline (no batching,
      *  hash each key right before its walk — the Listing 1
      *  schedule). Clamped to HashIndex::kMaxProbeBatch. For the
-     *  WalkerPool this is also the chunk granularity walker threads
-     *  claim from the shared window ring, and for the IndexService
-     *  the dispatch-window size small requests coalesce into. */
+     *  IndexService this is also the dispatch-window size small
+     *  requests coalesce into. */
     unsigned batch = unsigned(db::HashIndex::kProbeBatch);
     /** Reject non-matching buckets on the one-byte tag filter. */
     bool tagged = true;
@@ -48,10 +38,10 @@ struct PipelineConfig
      *  window tagged for exactly that, so a long-lived service
      *  recovers the filter when traffic turns selective again. */
     bool adaptiveTags = false;
-    /** Walker threads draining the shared dispatch window; <= 1
-     *  keeps every prober on the calling thread. Only the
-     *  WalkerPool (walker_pool.hh), the IndexService, and the
-     *  db/workload entry points that ride them consult this knob. */
+    /** Walker threads; <= 1 keeps every prober on the calling
+     *  thread. Only the db entry points (db::probeAll / hashJoin)
+     *  consult this knob: > 1 runs the call on a scoped
+     *  IndexService with that many walkers. */
     unsigned walkers = 1;
 };
 

@@ -20,8 +20,6 @@
  *    probe state machines; each visit advances one machine one stage
  *    and issues the next prefetch (Kocberber et al., AMAC — the
  *    follow-up to this paper).
- *  - CoroProber (coro.hh): the same schedule written as C++20
- *    coroutines that suspend at every prefetch (CoroBase lineage).
  *
  * All probers share the decoupled pipeline (see README.md in this
  * directory): a dispatcher stage batch-hashes keys with the
@@ -52,7 +50,7 @@ namespace widx::sw {
 /**
  * The hash-addressed probe surface the interleaved drains are
  * templated on — the compile-time contract between the walker state
- * machines (amacDrain / coroDrain) and anything indexable: a flat
+ * machine (amacDrain) and anything indexable: a flat
  * db::HashIndex, one shard of a service index, or the shard-blind
  * ShardedIndex front (both are static_assert-checked against it).
  *
@@ -79,7 +77,6 @@ concept ProbeSurface = requires(
     // evaluated; real call sites carry their own markers.
     // Walker stage: tag reject, then the chain walk.
     { idx.tagMayMatchHash(hash) } -> std::convertible_to<bool>;
-    { idx.tagAddrFor(hash) } -> std::convertible_to<const u8 *>;
     {
         idx.bucketHeadFor(hash)
     } -> std::convertible_to<const db::HashIndex::Node *>;
@@ -112,7 +109,7 @@ struct NullSink
 };
 
 /** One buffered match, replayed into a caller's sink after a
- *  deterministic merge (WalkerPool and IndexService results). */
+ *  deterministic merge (IndexService results). */
 struct MatchRec
 {
     std::size_t i; ///< key position in the probed span / request
@@ -125,15 +122,14 @@ inline constexpr unsigned kMaxWidth = 64;
 
 /**
  * Stream over one hashed chunk of keys for the interleaved drains:
- * yields (base + pos, key, hash) and — when a survivor bitmap from
- * the batched tag sweep is supplied — skips rejected positions, so
- * the drain runs with its own tag check off and never loads a tag
- * byte per key. Shared by WalkerPool chunk drains (base = the
- * chunk's offset in the probed span) and IndexService dispatch
- * windows (base = 0: window-local ordinals) — including the
- * service's shard-affine windows, whose keys were already hashed
- * at admission and belong to a single shard, so the Index side of
- * the drain is that shard's flat db::HashIndex.
+ * yields (pos, key, hash) with pos the chunk-local ordinal and —
+ * when a survivor bitmap from the batched tag sweep is supplied —
+ * skips rejected positions, so the drain runs with its own tag check
+ * off and never loads a tag byte per key. Used by IndexService
+ * dispatch windows — including the service's shard-affine windows,
+ * whose keys were already hashed at admission and belong to a single
+ * shard, so the Index side of the drain is that shard's flat
+ * db::HashIndex.
  */
 class HashedChunkStream
 {
@@ -141,10 +137,8 @@ class HashedChunkStream
     /** keys/hashes point at the chunk's first entry; bits may be
      *  null (no filtering). */
     HashedChunkStream(const u64 *keys, const u64 *hashes,
-                      std::size_t len, const u64 *bits,
-                      std::size_t base)
-        : keys_(keys), hashes_(hashes), len_(len), bits_(bits),
-          base_(base)
+                      std::size_t len, const u64 *bits)
+        : keys_(keys), hashes_(hashes), len_(len), bits_(bits)
     {
     }
 
@@ -156,7 +150,7 @@ class HashedChunkStream
                 ++pos_;
                 continue;
             }
-            i = base_ + pos_;
+            i = pos_;
             key = keys_[pos_];
             hash = hashes_[pos_++];
             return true;
@@ -169,7 +163,6 @@ class HashedChunkStream
     const u64 *hashes_;
     std::size_t len_;
     const u64 *bits_;
-    std::size_t base_;
     std::size_t pos_ = 0;
 };
 
@@ -380,13 +373,12 @@ class GroupPrefetchProber
  * Drain a hashed-key stream through a ring of W AMAC probe state
  * machines. The Stream supplies pre-hashed keys via
  * `bool next(std::size_t &i, u64 &key, u64 &hash)` — HashedWindow
- * for the single-threaded prober, a claimed window-ring chunk for
- * WalkerPool threads, a coalesced (or shard-affine, admission-
- * hashed) dispatch window for IndexService walkers — and the Index
- * supplies the hash-addressed probe surface (tagMayMatchHash /
- * bucketHeadFor / nodeKey), so the same state machine serves a
- * flat db::HashIndex, one shard of a sharded service index, and
- * the shard-blind ShardedIndex surface alike.
+ * for the single-threaded prober, a coalesced (or shard-affine,
+ * admission-hashed) dispatch window for IndexService walkers — and
+ * the Index supplies the hash-addressed probe surface
+ * (tagMayMatchHash / bucketHeadFor / nodeKey), so the same state
+ * machine serves a flat db::HashIndex, one shard of a sharded
+ * service index, and the shard-blind ShardedIndex surface alike.
  */
 template <ProbeSurface Index, typename Stream, typename Sink>
 u64

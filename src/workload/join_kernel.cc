@@ -4,8 +4,8 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "db/hash_join.hh"
 #include "service/index_service.hh"
-#include "swwalkers/coro.hh"
 #include "swwalkers/probers.hh"
 #include "workload/distributions.hh"
 
@@ -50,8 +50,6 @@ probeScheduleName(ProbeSchedule sched)
         return "group-prefetch";
       case ProbeSchedule::Amac:
         return "amac";
-      case ProbeSchedule::Coro:
-        return "coro";
     }
     panic("bad probe schedule");
 }
@@ -80,68 +78,36 @@ runKernelProbes(const KernelDataset &data, ProbeSchedule sched,
         cfg.batch = 0;
 
     if (walkers > 1) {
-        // Multi-threaded: a scoped IndexService runs the interleaved
-        // state machines on K persistent walker threads; the merged
-        // matches (probeBatch order) replay into the results region
-        // on this thread, so `out` needs no synchronization. Only
-        // the interleaved schedules have a walker engine — reject
-        // the rest loudly rather than silently measuring AMAC under
-        // another schedule's name.
-        fatal_if(sched != ProbeSchedule::Amac &&
-                     sched != ProbeSchedule::Coro,
-                 "walkers > 1 requires the Amac or Coro schedule "
-                 "(got %s)",
+        // Multi-threaded: a scoped IndexService runs the AMAC state
+        // machines on K persistent walker threads and db::probeAll
+        // fans the probe column out through it. The joined pairs
+        // come back in probeBatch order and replay into the results
+        // region on this thread, so `out` needs no synchronization.
+        // Only AMAC has a walker engine — reject the other schedules
+        // loudly rather than silently measuring AMAC under their
+        // name.
+        fatal_if(sched != ProbeSchedule::Amac,
+                 "walkers > 1 requires the Amac schedule (got %s)",
                  probeScheduleName(sched));
         sw::ServiceConfig scfg;
         scfg.walkers = walkers;
         scfg.width = width;
-        scfg.engine = sched == ProbeSchedule::Coro
-                          ? sw::WalkerEngine::Coro
-                          : sw::WalkerEngine::Amac;
         scfg.pipeline = cfg;
         sw::IndexService service(*data.index, scfg);
-        // Sliced async submission: the probe span fans out as many
-        // requests through one CompletionQueue (keeping every
-        // walker fed from the first slice on), and the slices
-        // replay into the results region in slice order — the same
-        // probeBatch-ordered sequence the single blocking request
-        // produced.
-        constexpr std::size_t kSlice = 4096;
-        const std::size_t nSlices =
-            keys.empty() ? 0
-                         : (keys.size() + kSlice - 1) / kSlice;
-        auto cq = std::make_shared<sw::CompletionQueue>();
-        for (std::size_t s = 0; s < nSlices; ++s)
-            service.submitAsync(
-                sw::RequestKind::Probe,
-                keys.subspan(s * kSlice,
-                             std::min(kSlice,
-                                      keys.size() - s * kSlice)),
-                {}, cq, s);
-        std::vector<sw::Completion> done;
-        while (done.size() < nSlices)
-            cq->reap(done, nSlices, std::chrono::milliseconds(100));
-        std::vector<std::vector<sw::MatchRec>> bySlice(nSlices);
-        u64 matches = 0;
-        for (sw::Completion &c : done) {
-            // The scoped service runs with unbounded admission and
-            // no deadline, so every slice must drain Ok. If a
-            // future config plumbs maxQueuedKeys / adaptive
-            // admission in here, fail loudly rather than silently
-            // accumulating a shed slice's empty partial result.
-            fatal_if(c.result.status != sw::Status::Ok,
-                     "kernel probe slice %llu completed %s",
-                     (unsigned long long)c.tag,
-                     sw::statusName(c.result.status));
-            matches += c.result.matches;
-            bySlice[c.tag] = std::move(c.result.recs);
+        const db::JoinResult jr =
+            db::probeAll(service, *data.probeKeys);
+        // The scoped service runs with unbounded admission and no
+        // deadline, so the join must complete Ok. If a future config
+        // plumbs maxQueuedKeys / adaptive admission in here, fail
+        // loudly rather than write a partial result.
+        fatal_if(jr.status != sw::Status::Ok,
+                 "kernel probe join completed %s",
+                 sw::statusName(jr.status));
+        for (const db::JoinPair &p : jr.pairs) {
+            out[cursor++] = keys[p.probeRow];
+            out[cursor++] = p.buildRow;
         }
-        for (std::size_t s = 0; s < nSlices; ++s)
-            for (const sw::MatchRec &rec : bySlice[s]) {
-                out[cursor++] = rec.key;
-                out[cursor++] = rec.payload;
-            }
-        return matches;
+        return jr.matches;
     }
 
     switch (sched) {
@@ -154,9 +120,6 @@ runKernelProbes(const KernelDataset &data, ProbeSchedule sched,
             .probeAll(keys, sink);
       case ProbeSchedule::Amac:
         return sw::AmacProber(*data.index, width, cfg)
-            .probeAll(keys, sink);
-      case ProbeSchedule::Coro:
-        return sw::CoroProber(*data.index, width, cfg)
             .probeAll(keys, sink);
     }
     panic("bad probe schedule");

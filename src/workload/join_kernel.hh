@@ -69,7 +69,6 @@ enum class ProbeSchedule
     BatchedScalar, ///< shared batch pipeline, sequential walks
     GroupPrefetch, ///< Chen et al. group prefetching
     Amac,          ///< asynchronous memory access chaining
-    Coro,          ///< C++20 coroutine interleaving
 };
 
 const char *probeScheduleName(ProbeSchedule sched);
@@ -80,16 +79,16 @@ const char *probeScheduleName(ProbeSchedule sched);
  * results region (the producer unit's role — emission through the
  * inlined sink, no allocation on the probe path).
  *
- * @param width in-flight walks (AMAC/coroutines) or group size.
+ * @param width in-flight walks (AMAC) or group size.
  * @param tagged use the one-byte tag filter.
- * @param walkers walker threads; > 1 runs the probes on a scoped
- *        sw::IndexService (K persistent walker threads draining
- *        coalesced dispatch windows) with the merged matches
- *        written to the results region on the calling thread in
- *        probeBatch order. Only the interleaved schedules have a
- *        walker engine: sched must be Amac or Coro (anything else
- *        is fatal, so a schedule sweep can't silently measure AMAC
- *        under another schedule's name).
+ * @param walkers walker threads; > 1 runs the probes through
+ *        db::probeAll on a scoped sw::IndexService (K persistent
+ *        walker threads draining coalesced dispatch windows) with
+ *        the merged matches written to the results region on the
+ *        calling thread in probeBatch order. Only AMAC has a walker
+ *        engine: sched must be Amac (anything else is fatal, so a
+ *        schedule sweep can't silently measure AMAC under another
+ *        schedule's name).
  * @return number of matches written.
  */
 u64 runKernelProbes(const KernelDataset &data, ProbeSchedule sched,

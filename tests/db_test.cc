@@ -549,7 +549,7 @@ TEST(HashJoin, MatchesNestedLoopOracle)
     EXPECT_EQ(jr.probes, 500u);
 }
 
-TEST(HashJoin, WalkerPoolAgreesWithSingleThread)
+TEST(HashJoin, ScopedServiceAgreesWithSingleThread)
 {
     Rng rng(17);
     Arena arena;
@@ -576,15 +576,15 @@ TEST(HashJoin, WalkerPoolAgreesWithSingleThread)
         for (bool tagged : {false, true}) {
             sw::PipelineConfig cfg{.tagged = tagged,
                                    .walkers = walkers};
-            Arena pool_arena;
+            Arena svc_arena;
             JoinResult jr =
-                hashJoin(build, probe, spec, pool_arena, true, cfg);
+                hashJoin(build, probe, spec, svc_arena, true, cfg);
             EXPECT_EQ(jr.matches, ref.matches);
             EXPECT_EQ(pairMultiset(jr), refPairs);
         }
 }
 
-TEST(HashJoin, WalkerPoolWidensNarrowProbeColumns)
+TEST(HashJoin, ScopedServiceWidensNarrowProbeColumns)
 {
     Rng rng(23);
     Arena arena;

@@ -84,6 +84,26 @@ expectSameSequence(const std::vector<MatchRec> &got,
     }
 }
 
+/** A raw loopback socket to the server, for frames the client
+ *  never writes (malformed, or sent without the Hello). */
+int
+rawConnect(u16 port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
 } // namespace
 
 TEST(TcpFrontEnd, BlockingCallsMatchTheLocalReference)
@@ -175,7 +195,7 @@ TEST(TcpFrontEnd, MutationsRoundTripOnAV2Connection)
     EXPECT_EQ(gone.matches, 0u);
 }
 
-TEST(TcpFrontEnd, V1ConnectionGetsUnsupportedVersionForMutations)
+TEST(TcpFrontEnd, FrameBeforeHelloIsAnsweredThenClosed)
 {
     Dataset d(2000, 256, 37);
     ServiceConfig cfg;
@@ -183,28 +203,54 @@ TEST(TcpFrontEnd, V1ConnectionGetsUnsupportedVersionForMutations)
     cfg.mutation.enabled = true;
     IndexService service(*d.build, d.spec, cfg);
     TcpIndexServer server(service);
-    // Never says Hello: served as v1.
-    TcpIndexClient client("127.0.0.1", server.port(),
-                          /*sayHello=*/false);
 
+    // A well-formed Insert and a Count pipelined on a raw socket
+    // that never says Hello: the first frame is refused with
+    // UnsupportedVersion (its kind echoed), the connection closes
+    // once that answer drains, and the second frame is never read.
     const std::vector<u64> keys{1'000'001};
     const std::vector<u64> pay{7};
-    const ServiceResult ins =
-        client.call(RequestKind::Insert, keys, 0, pay);
-    EXPECT_EQ(ins.status, Status::UnsupportedVersion);
-    EXPECT_EQ(ins.matches, 0u);
+    std::vector<u8> frames;
+    widx::net::appendRequest(frames, 5, RequestKind::Insert, 0, keys,
+                             0, pay);
+    widx::net::appendRequest(frames, 6, RequestKind::Count, 0, keys);
+    const int fd = rawConnect(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, frames.data(), frames.size(), MSG_NOSIGNAL),
+              ssize_t(frames.size()));
 
-    // The refusal is an answer, not a framing error: the same
-    // connection keeps serving reads, and nothing was applied.
-    const ServiceResult cnt =
-        client.call(RequestKind::Count, keys);
+    u8 buf[4 + sizeof(widx::net::RespHeader)];
+    std::size_t got = 0;
+    while (got < sizeof(buf)) {
+        const ssize_t n =
+            ::recv(fd, buf + got, sizeof(buf) - got, 0);
+        ASSERT_GT(n, 0) << "connection closed before the answer";
+        got += std::size_t(n);
+    }
+    u32 rlen;
+    std::memcpy(&rlen, buf, 4);
+    ASSERT_EQ(rlen, sizeof(widx::net::RespHeader));
+    widx::net::RespHeader h;
+    ServiceResult r;
+    ASSERT_TRUE(widx::net::parseResponse(buf + 4, rlen, h, r));
+    EXPECT_EQ(h.reqId, 5u);
+    EXPECT_EQ(h.kind, widx::net::kWireKindInsert);
+    EXPECT_EQ(r.status, Status::UnsupportedVersion);
+    EXPECT_EQ(r.matches, 0u);
+    // ... and only then EOF: no answer for the Count.
+    const ssize_t eof = ::recv(fd, buf, sizeof(buf), 0);
+    EXPECT_LE(eof, 0);
+    ::close(fd);
+
+    // The refusal is an answer, not a framing error, and nothing
+    // reached the service: a client that says Hello finds no trace
+    // of the refused insert.
+    EXPECT_EQ(server.stats().protocolErrors, 0u);
+    EXPECT_EQ(server.stats().requests, 0u);
+    TcpIndexClient client("127.0.0.1", server.port());
+    const ServiceResult cnt = client.call(RequestKind::Count, keys);
     ASSERT_EQ(cnt.status, Status::Ok);
     EXPECT_EQ(cnt.matches, 0u);
-    const ServiceResult ok = client.call(
-        RequestKind::Count, {d.keys.data(), 64});
-    EXPECT_EQ(ok.status, Status::Ok);
-    EXPECT_EQ(client.serverVersion(), 0u);
-    EXPECT_EQ(server.stats().protocolErrors, 0u);
 }
 
 TEST(TcpFrontEnd, UnsupportedHelloIsAnsweredThenClosed)
@@ -233,16 +279,8 @@ TEST(TcpFrontEnd, UnsupportedHelloIsAnsweredThenClosed)
     frame.insert(frame.end(),
                  reinterpret_cast<const u8 *>(&version),
                  reinterpret_cast<const u8 *>(&version) + 8);
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = rawConnect(server.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::connect(fd,
-                        reinterpret_cast<const sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
     ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
               ssize_t(frame.size()));
 
@@ -372,16 +410,8 @@ TEST(TcpFrontEnd, MalformedFrameDropsTheConnection)
     frame.insert(frame.end(), reinterpret_cast<const u8 *>(&h),
                  reinterpret_cast<const u8 *>(&h) + sizeof(h));
     frame.resize(4 + len, 0);
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = rawConnect(server.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::connect(fd,
-                        reinterpret_cast<const sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
     ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
               ssize_t(frame.size()));
     // The server answers a framing violation by closing: the next

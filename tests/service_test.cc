@@ -187,7 +187,6 @@ struct ServiceCase
 {
     unsigned shards;
     unsigned walkers;
-    WalkerEngine engine;
     bool indirect;
     double zipf;
     unsigned batch;
@@ -222,7 +221,6 @@ TEST_P(ServiceEquivalence, ByteIdenticalToProbeBatch)
     ServiceConfig cfg;
     cfg.shards = c.shards;
     cfg.walkers = c.walkers;
-    cfg.engine = c.engine;
     cfg.pipeline.batch = c.batch;
     cfg.pipeline.tagged = c.tagged;
     cfg.affineRouting = c.affine;
@@ -298,56 +296,41 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ServiceEquivalence,
     ::testing::Values(
         // Walker ladder, flat (single shard).
-        ServiceCase{1, 1, WalkerEngine::Amac, false, 0.0, 64, true},
-        ServiceCase{1, 2, WalkerEngine::Amac, false, 0.0, 64, true},
-        ServiceCase{1, 4, WalkerEngine::Amac, false, 0.0, 64, true},
+        ServiceCase{1, 1, false, 0.0, 64, true},
+        ServiceCase{1, 2, false, 0.0, 64, true},
+        ServiceCase{1, 4, false, 0.0, 64, true},
         // Shard ladder at fixed walkers.
-        ServiceCase{2, 2, WalkerEngine::Amac, false, 0.0, 64, true},
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.0, 64, true},
-        ServiceCase{8, 2, WalkerEngine::Amac, false, 0.0, 64, true},
-        // Coroutine engine, both sharded and flat.
-        ServiceCase{1, 2, WalkerEngine::Coro, false, 0.0, 64, true},
-        ServiceCase{4, 2, WalkerEngine::Coro, false, 0.0, 64, true},
+        ServiceCase{2, 2, false, 0.0, 64, true},
+        ServiceCase{4, 2, false, 0.0, 64, true},
+        ServiceCase{4, 4, false, 0.0, 64, true},
+        ServiceCase{8, 2, false, 0.0, 64, true},
         // Tag modes, chunk sizes (incl. inline batch=0 -> default
         // chunking), layouts, skew.
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.0, 64, false},
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.0, 16, true},
-        ServiceCase{2, 4, WalkerEngine::Amac, false, 0.0, 0, true},
-        ServiceCase{4, 4, WalkerEngine::Amac, true, 0.0, 64, true},
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.8, 64, true},
-        ServiceCase{4, 2, WalkerEngine::Coro, true, 0.99, 32,
-                    false},
+        ServiceCase{4, 4, false, 0.0, 64, false},
+        ServiceCase{4, 4, false, 0.0, 16, true},
+        ServiceCase{2, 4, false, 0.0, 0, true},
+        ServiceCase{4, 4, true, 0.0, 64, true},
+        ServiceCase{4, 4, false, 0.8, 64, true},
+        ServiceCase{4, 2, true, 0.99, 32, false},
         // Shard-affine routing sweep (fake 2-node topology):
-        // shards x walkers x engine x tag x chunk x layout x skew,
-        // with the routing-off twin of each shape above for the
-        // on/off acceptance comparison.
-        ServiceCase{2, 2, WalkerEngine::Amac, false, 0.0, 64, true,
-                    true},
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.0, 64, true,
-                    true},
-        ServiceCase{8, 2, WalkerEngine::Amac, false, 0.0, 64, true,
-                    true},
-        ServiceCase{4, 1, WalkerEngine::Amac, false, 0.0, 64, true,
-                    true},
-        ServiceCase{2, 4, WalkerEngine::Coro, false, 0.0, 64, true,
-                    true},
-        ServiceCase{4, 2, WalkerEngine::Coro, true, 0.99, 32, false,
-                    true},
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.0, 16, false,
-                    true},
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.8, 0, true,
-                    true},
+        // shards x walkers x tag x chunk x layout x skew, with the
+        // routing-off twin of each shape above for the on/off
+        // acceptance comparison.
+        ServiceCase{2, 2, false, 0.0, 64, true, true},
+        ServiceCase{4, 4, false, 0.0, 64, true, true},
+        ServiceCase{8, 2, false, 0.0, 64, true, true},
+        ServiceCase{4, 1, false, 0.0, 64, true, true},
+        ServiceCase{2, 4, false, 0.0, 64, true, true},
+        ServiceCase{4, 2, true, 0.99, 32, false, true},
+        ServiceCase{4, 4, false, 0.0, 16, false, true},
+        ServiceCase{4, 4, false, 0.8, 0, true, true},
         // affine flag on a single shard degrades to the flat path.
-        ServiceCase{1, 2, WalkerEngine::Amac, false, 0.0, 64, true,
-                    true},
+        ServiceCase{1, 2, false, 0.0, 64, true, true},
         // Coalescing off: tails seal their own windows (shared and
         // affine admission paths) — results must not care.
-        ServiceCase{1, 4, WalkerEngine::Amac, false, 0.0, 64, true,
-                    false, false},
-        ServiceCase{4, 2, WalkerEngine::Coro, false, 0.0, 16, true,
-                    false, false},
-        ServiceCase{4, 4, WalkerEngine::Amac, false, 0.6, 64, true,
-                    true, false}));
+        ServiceCase{1, 4, false, 0.0, 64, true, false, false},
+        ServiceCase{4, 2, false, 0.0, 16, true, false, false},
+        ServiceCase{4, 4, false, 0.6, 64, true, true, false}));
 
 TEST(IndexService, WrapsAnExistingIndex)
 {
@@ -1296,8 +1279,14 @@ TEST(IndexService, AsyncThousandsInFlightFromOneThread)
     // All kReqs submitted, zero reaped: the client-side in-flight
     // count is kReqs >= 1024 right now.
 
+    // Bounded by wall-clock time, not by reap() calls: with real
+    // parallelism the walkers publish completions while this thread
+    // reaps, so each call may return only a handful.
     std::vector<Completion> done;
-    for (int tries = 0; done.size() < kReqs && tries < 300; ++tries)
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (done.size() < kReqs &&
+           std::chrono::steady_clock::now() < deadline)
         cq->reap(done, kReqs, std::chrono::milliseconds(100));
     ASSERT_EQ(done.size(), kReqs);
 

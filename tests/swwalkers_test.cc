@@ -5,19 +5,20 @@
  * must produce the exact match multiset of the scalar reference,
  * across widths, group sizes, layouts (direct and indirect keys),
  * and key distributions (uniform and Zipf-skewed), via a
- * parameterized property suite.
+ * parameterized property suite. The kernel runner's multi-walker
+ * path (a scoped IndexService) must write the single-threaded
+ * results region byte for byte.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "common/arena.hh"
 #include "common/rng.hh"
-#include "swwalkers/coro.hh"
 #include "swwalkers/probers.hh"
-#include "swwalkers/walker_pool.hh"
 #include "workload/distributions.hh"
 #include "workload/join_kernel.hh"
 
@@ -118,7 +119,6 @@ TEST_P(ProberEquivalence, AllSchedulesAgreeWithScalar)
     check(GroupPrefetchProber(*d.index, c.width, cfg),
           "group-prefetch");
     check(AmacProber(*d.index, c.width, cfg), "amac");
-    check(CoroProber(*d.index, c.width, cfg), "coro");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -146,7 +146,6 @@ TEST(Probers, EmptyKeySetYieldsNoMatches)
     Dataset d(100, 0, false, 0.0, 1);
     EXPECT_EQ(ScalarProber(*d.index).probeAll(d.keys), 0u);
     EXPECT_EQ(AmacProber(*d.index, 4).probeAll(d.keys), 0u);
-    EXPECT_EQ(CoroProber(*d.index, 4).probeAll(d.keys), 0u);
     EXPECT_EQ(GroupPrefetchProber(*d.index, 4).probeAll(d.keys), 0u);
 }
 
@@ -155,7 +154,6 @@ TEST(Probers, WidthLargerThanKeyCount)
     Dataset d(64, 3, false, 0.0, 2);
     const u64 ref = ScalarProber(*d.index).probeAll(d.keys);
     EXPECT_EQ(AmacProber(*d.index, 32).probeAll(d.keys), ref);
-    EXPECT_EQ(CoroProber(*d.index, 32).probeAll(d.keys), ref);
     EXPECT_EQ(GroupPrefetchProber(*d.index, 32).probeAll(d.keys),
               ref);
 }
@@ -177,7 +175,6 @@ TEST(Probers, MissingKeysProduceNoMatches)
         PipelineConfig cfg{.batch = 64, .tagged = tagged};
         EXPECT_EQ(ScalarProber(idx, cfg).probeAll(misses), 0u);
         EXPECT_EQ(AmacProber(idx, 4, cfg).probeAll(misses), 0u);
-        EXPECT_EQ(CoroProber(idx, 4, cfg).probeAll(misses), 0u);
         EXPECT_EQ(GroupPrefetchProber(idx, 8, cfg).probeAll(misses),
                   0u);
     }
@@ -191,160 +188,32 @@ TEST(Probers, KernelScheduleRunnerAgreesAcrossSchedules)
     for (auto sched : {wl::ProbeSchedule::Scalar,
                        wl::ProbeSchedule::BatchedScalar,
                        wl::ProbeSchedule::GroupPrefetch,
-                       wl::ProbeSchedule::Amac,
-                       wl::ProbeSchedule::Coro})
+                       wl::ProbeSchedule::Amac})
         for (bool tagged : {false, true})
             EXPECT_EQ(wl::runKernelProbes(data, sched, 8, tagged),
                       ref)
                 << wl::probeScheduleName(sched);
 }
 
-// ---------------------------------------------------------------------------
-// WalkerPool: the multi-threaded dispatcher/walker split. The pool
-// at K walker threads must produce the exact (key, payload) match
-// multiset of the single-threaded probeBatch reference across
-// walker counts, engines, tag modes, batch (chunk) sizes, key
-// layouts, and key distributions.
-// ---------------------------------------------------------------------------
-
-struct PoolCase
-{
-    unsigned walkers;
-    sw::WalkerEngine engine;
-    bool indirect;
-    double zipf;
-    unsigned batch;
-    bool tagged;
-};
-
-class WalkerPoolEquivalence
-    : public ::testing::TestWithParam<PoolCase>
-{
-};
-
-TEST_P(WalkerPoolEquivalence, MatchesSingleThreadedProbeBatch)
-{
-    const PoolCase &c = GetParam();
-    Dataset d(2000, 5000, c.indirect, c.zipf, 97 + c.walkers);
-
-    // Reference: the single-threaded batched pipeline.
-    Collector ref;
-    ref.keys = d.keys;
-    const u64 n_ref = d.index->probeBatch(
-        std::span<const u64>(d.keys),
-        [&](std::size_t i, u64 key, u64 payload) {
-            ref(i, key, payload);
-        },
-        c.tagged, c.batch ? c.batch : db::HashIndex::kProbeBatch);
-    EXPECT_TRUE(ref.positionsOk);
-
-    PipelineConfig cfg{
-        .batch = c.batch, .tagged = c.tagged, .walkers = c.walkers};
-    WalkerPool pool(*d.index, 8, cfg, c.engine);
-    Collector got;
-    got.keys = d.keys;
-    EXPECT_EQ(pool.probeAll(d.keys, std::ref(got)), n_ref);
-    EXPECT_EQ(got.matches, ref.matches);
-    EXPECT_TRUE(got.positionsOk);
-
-    // Count-only overload (the unbuffered path) agrees too.
-    EXPECT_EQ(pool.probeAll(d.keys), n_ref);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, WalkerPoolEquivalence,
-    ::testing::Values(
-        // K sweep at the default chunking, both engines.
-        PoolCase{1, sw::WalkerEngine::Amac, false, 0.0, 64, true},
-        PoolCase{2, sw::WalkerEngine::Amac, false, 0.0, 64, true},
-        PoolCase{4, sw::WalkerEngine::Amac, false, 0.0, 64, true},
-        PoolCase{2, sw::WalkerEngine::Coro, false, 0.0, 64, true},
-        PoolCase{4, sw::WalkerEngine::Coro, false, 0.0, 64, true},
-        // Tag modes and chunk sizes (incl. inline batch=0, which
-        // the pool re-chunks at the default granularity).
-        PoolCase{4, sw::WalkerEngine::Amac, false, 0.0, 64, false},
-        PoolCase{2, sw::WalkerEngine::Amac, false, 0.0, 8, true},
-        PoolCase{4, sw::WalkerEngine::Amac, false, 0.0, 256, true},
-        PoolCase{4, sw::WalkerEngine::Amac, false, 0.0, 0, true},
-        // Indirect keys and Zipf-skewed probes (hot chunks).
-        PoolCase{4, sw::WalkerEngine::Amac, true, 0.0, 64, true},
-        PoolCase{4, sw::WalkerEngine::Amac, false, 0.8, 64, true},
-        PoolCase{4, sw::WalkerEngine::Coro, true, 0.99, 32, false}));
-
-TEST(WalkerPool, MergedOrderIsDeterministicAcrossRunsAndK)
-{
-    Dataset d(4000, 20000, false, 0.6, 11);
-    std::vector<WalkerPool::MatchRec> first;
-    u64 n_first = 0;
-    for (unsigned round = 0; round < 3; ++round)
-        for (unsigned k : {1u, 2u, 4u}) {
-            PipelineConfig cfg{.walkers = k};
-            std::vector<WalkerPool::MatchRec> got;
-            const u64 n =
-                WalkerPool(*d.index, 8, cfg).runBuffered(d.keys, got);
-            if (first.empty() && n_first == 0) {
-                first = got;
-                n_first = n;
-                continue;
-            }
-            EXPECT_EQ(n, n_first);
-            ASSERT_EQ(got.size(), first.size());
-            for (std::size_t r = 0; r < got.size(); ++r) {
-                EXPECT_EQ(got[r].i, first[r].i);
-                EXPECT_EQ(got[r].key, first[r].key);
-                EXPECT_EQ(got[r].payload, first[r].payload);
-            }
-        }
-}
-
-/** Concurrent stress: many pool runs at K=4 over a window ring that
- *  wraps hundreds of times, so TSan gets real dispatcher/walker
- *  races to chew on every PR (the CI tsan job runs this suite). */
-TEST(WalkerPool, ConcurrentStressRacesTheWindowRing)
-{
-    Dataset d(8192, 60000, false, 0.8, 5);
-    PipelineConfig ref_cfg{};
-    Collector ref;
-    ref.keys = d.keys;
-    const u64 n_ref = ScalarProber(*d.index, ref_cfg)
-                          .probeAll(d.keys, std::ref(ref));
-
-    for (unsigned round = 0; round < 4; ++round)
-        for (auto engine :
-             {sw::WalkerEngine::Amac, sw::WalkerEngine::Coro}) {
-            // Small chunks force heavy ring wrap + claim traffic.
-            PipelineConfig cfg{
-                .batch = 16, .tagged = true, .walkers = 4};
-            Collector got;
-            got.keys = d.keys;
-            WalkerPool pool(*d.index, 8, cfg, engine);
-            ASSERT_EQ(pool.probeAll(d.keys, std::ref(got)), n_ref);
-            ASSERT_EQ(got.matches, ref.matches);
-        }
-}
-
-TEST(WalkerPool, EmptyAndTinyInputs)
-{
-    Dataset d(128, 3, false, 0.0, 9);
-    PipelineConfig cfg{.walkers = 4};
-    WalkerPool pool(*d.index, 8, cfg);
-    EXPECT_EQ(pool.probeAll(std::span<const u64>{}), 0u);
-    // Fewer keys than one chunk: one walker drains, others exit on
-    // the ticket.
-    const u64 ref = ScalarProber(*d.index).probeAll(d.keys);
-    EXPECT_EQ(pool.probeAll(d.keys), ref);
-}
-
-TEST(WalkerPool, KernelRunnerRidesThePool)
+/** walkers > 1 runs the AMAC schedule through db::probeAll on a
+ *  scoped IndexService; the results region must hold exactly the
+ *  {key, payload} words the single-threaded batched pipeline writes
+ *  (probeBatch order), at every walker count. */
+TEST(Probers, KernelRunnerRidesTheService)
 {
     wl::KernelDataset data(wl::KernelSize::small(), 7);
     const u64 ref = wl::runKernelProbes(
-        data, wl::ProbeSchedule::Scalar, 8, false);
-    for (auto sched :
-         {wl::ProbeSchedule::Amac, wl::ProbeSchedule::Coro})
-        for (unsigned walkers : {2u, 4u})
-            EXPECT_EQ(wl::runKernelProbes(data, sched, 8, true,
-                                          walkers),
-                      ref)
-                << wl::probeScheduleName(sched);
+        data, wl::ProbeSchedule::BatchedScalar, 8, true);
+    const std::vector<u64> want(data.outRegion,
+                                data.outRegion + 2 * ref);
+    for (unsigned walkers : {2u, 4u}) {
+        std::fill(data.outRegion, data.outRegion + 2 * ref, 0);
+        EXPECT_EQ(wl::runKernelProbes(data, wl::ProbeSchedule::Amac,
+                                      8, true, walkers),
+                  ref)
+            << walkers << " walkers";
+        EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                               data.outRegion))
+            << walkers << " walkers";
+    }
 }
