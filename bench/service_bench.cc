@@ -157,24 +157,21 @@ BENCHMARK(BM_ServiceSmallProbeObs)
     ->MeasureProcessCPUTime();
 
 // ---------------------------------------------------------------------------
-// Shard-affine routing on/off at fixed shape (4 shards, 1 walker):
-// the admission-scatter tax on repeated small probes. Routing buys
-// per-shard drains (no per-key shard resolve, per-shard AVX2 tag
-// filter, node-local arenas on NUMA hosts) for per-key scatter work
-// at submit; this pair pins both sides so neither path regresses
-// silently. K is fixed at 1 (the portable row — see the note above)
-// and the pair rides the CI smoke run + bench gate.
+// Repeated small probes against a sharded index (1 walker): the
+// BM_ServiceSmallProbe workload with the drain resolving each key's
+// shard instead of taking the flat single-shard fast path. K is
+// fixed at 1 (the portable row — see the note above) and the row
+// rides the CI smoke run + bench gate.
 // ---------------------------------------------------------------------------
 
-// Args: route (0 = shared windows, 1 = shard-affine).
+// Args: shards.
 static void
-BM_ServiceAffineSmallProbe(benchmark::State &state)
+BM_ServiceShardedSmallProbe(benchmark::State &state)
 {
     Dataset &d = small();
     sw::ServiceConfig cfg;
-    cfg.shards = 4;
+    cfg.shards = unsigned(state.range(0));
     cfg.walkers = 1;
-    cfg.affineRouting = state.range(0) != 0;
     sw::IndexService service(*d.build, d.spec, cfg);
     u64 matches = 0;
     std::size_t base = 0;
@@ -185,10 +182,9 @@ BM_ServiceAffineSmallProbe(benchmark::State &state)
     }
     reportKeys(state, kSmallProbe, matches);
 }
-BENCHMARK(BM_ServiceAffineSmallProbe)
-    ->ArgNames({"route"})
-    ->Arg(0)
-    ->Arg(1)
+BENCHMARK(BM_ServiceShardedSmallProbe)
+    ->ArgNames({"shards"})
+    ->Arg(4)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
@@ -254,8 +250,8 @@ BENCHMARK(BM_ServiceMultiClient)
 // from the *scheduled* arrival (no coordinated omission — a stalled
 // walker cannot stall the generator the way the closed-loop rows
 // above let it). p50/p99 land in the counters; the full
-// rate -> percentile ladder across coalescing/routing lives in
-// latency_bench (BENCH_latency.json).
+// rate -> percentile ladder across coalescing lives in latency_bench
+// (BENCH_latency.json).
 // ---------------------------------------------------------------------------
 
 // Args: rate (req/s), coalesce.
@@ -301,10 +297,7 @@ BENCHMARK(BM_ServiceOpenLoop)
 // traffic on multi-controller hosts).
 // ---------------------------------------------------------------------------
 
-// Args: K, shards, route (0 = shared windows, 1 = shard-affine;
-// on multi-socket hosts pair route:1 with the NodeBound rows
-// below to see the locality win — on one socket it mostly shows
-// the scatter tax against the saved per-key shard resolve).
+// Args: K, shards.
 static void
 BM_ServiceLargeProbe(benchmark::State &state)
 {
@@ -312,11 +305,6 @@ BM_ServiceLargeProbe(benchmark::State &state)
     sw::ServiceConfig cfg;
     cfg.walkers = unsigned(state.range(0));
     cfg.shards = unsigned(state.range(1));
-    cfg.affineRouting = state.range(2) != 0;
-    if (cfg.affineRouting) {
-        cfg.numa = sw::NumaPolicy::NodeBound;
-        cfg.pinWalkers = true;
-    }
     sw::IndexService service(*d.build, d.spec, cfg);
     u64 matches = 0;
     for (auto _ : state)
@@ -324,12 +312,11 @@ BM_ServiceLargeProbe(benchmark::State &state)
     reportKeys(state, d.keys.size(), matches);
 }
 BENCHMARK(BM_ServiceLargeProbe)
-    ->ArgNames({"K", "shards", "route"})
-    ->Args({1, 1, 0})
-    ->Args({2, 1, 0})
-    ->Args({4, 1, 0})
-    ->Args({4, 4, 0})
-    ->Args({4, 4, 1})
+    ->ArgNames({"K", "shards"})
+    ->Args({1, 1})
+    ->Args({2, 1})
+    ->Args({4, 1})
+    ->Args({4, 4})
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 

@@ -10,9 +10,8 @@
  *   1. load a build relation into a column;
  *   2. start an IndexService owning 4 hash-range shards placed by
  *      the host topology (NodeBound first-touch builds), with 4
- *      persistent walker threads parked between requests and
- *      shard-affine dispatch routing (each walker homes on the
- *      shards of its node, stealing across shards when idle);
+ *      persistent walker threads parked between requests, any of
+ *      which drains the next dispatch window;
  *   3. fire closed-loop clients that submit small probe / count /
  *      join requests and block on their tickets;
  *   4. verify a sample request byte-for-byte against the
@@ -113,7 +112,7 @@ main(int argc, char **argv)
 
     // 2. Service: 4 hash-range shards (each with its own bucket+tag
     //    arena, first-touched on its target node), 4 walkers parked
-    //    on a condvar between requests, shard-affine routing on.
+    //    on a condvar between requests.
     const Topology &topo = Topology::host();
     std::printf("topology: %u node(s), %u usable CPU(s)\n",
                 topo.nodes(), topo.cpus());
@@ -125,7 +124,6 @@ main(int argc, char **argv)
     cfg.walkers = 4;
     cfg.pipeline.adaptiveTags = true;
     cfg.numa = sw::NumaPolicy::NodeBound;
-    cfg.affineRouting = true;
     // Observability: hardware-counter sampling every 32nd window
     // (degrades to zeros where perf is denied) and a span-trace
     // ring shared with the TCP server's reaper.
@@ -145,13 +143,6 @@ main(int argc, char **argv)
                     .numBuckets(),
                 service.walkers(),
                 double(service.index().footprintBytes()) / 1048576.0);
-    for (unsigned w = 0; w < service.walkers(); ++w) {
-        std::printf("  walker %u home shards:", w);
-        for (unsigned s : service.homeShards(w))
-            std::printf(" %u(node %u)", s,
-                        service.index().shardNode(s));
-        std::printf("\n");
-    }
 
     // Everything ad-hoc above is also exported uniformly: the
     // registry pulls service state through a collector at scrape
@@ -279,12 +270,9 @@ main(int argc, char **argv)
                 secs, double(totalReqs) / secs,
                 double(totalReqs * requestKeys) / secs / 1e6);
     std::printf("dispatch windows: %llu (%llu coalesced across "
-                "requests, %llu shard-affine, %llu stolen), tag "
-                "reject rate %.1f%%\n",
+                "requests), tag reject rate %.1f%%\n",
                 (unsigned long long)stats.windows,
                 (unsigned long long)stats.coalescedWindows,
-                (unsigned long long)stats.affineWindows,
-                (unsigned long long)stats.stolenWindows,
                 100.0 * service.index().tagStats().rejectRate());
 
     // 4c. Latency report: every request was timestamped at submit,

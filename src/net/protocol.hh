@@ -445,11 +445,16 @@ parseRequest(const u8 *p, std::size_t len, ReqHeader &h,
     if (len != off + keyBytes * (wantPayloads ? 2 : 1))
         return false;
     keys.resize(h.nKeys);
-    std::memcpy(keys.data(), p + off, keyBytes);
-    if (wantPayloads) {
+    if (wantPayloads)
         payloads->resize(h.nKeys);
+    // A key-less frame (Stats, or an empty request) copies nothing:
+    // an empty vector's data() may be null, and memcpy forbids a
+    // null pointer even for zero bytes.
+    if (h.nKeys == 0)
+        return true;
+    std::memcpy(keys.data(), p + off, keyBytes);
+    if (wantPayloads)
         std::memcpy(payloads->data(), p + off + keyBytes, keyBytes);
-    }
     return true;
 }
 
@@ -473,10 +478,13 @@ parseResponse(const u8 *p, std::size_t len, RespHeader &h,
     r.status = sw::Status(h.status);
     r.matches = h.matches;
     r.recs.resize(h.nRecs);
-    for (u32 i = 0; i < h.nRecs; ++i) {
+    // Step by byte offset up to `len`: the length check above makes
+    // that exactly nRecs records, and the bound keeps every read
+    // visibly inside the caller's buffer.
+    for (std::size_t i = 0, off = sizeof(RespHeader); off < len;
+         ++i, off += sizeof(WireRec)) {
         WireRec w;
-        std::memcpy(&w, p + sizeof(RespHeader) + i * sizeof(WireRec),
-                    sizeof(w));
+        std::memcpy(&w, p + off, sizeof(w));
         r.recs[i] = {std::size_t(w.pos), w.key, w.payload};
     }
     return true;

@@ -45,12 +45,11 @@ struct LatencyBoard
 };
 
 /**
- * One submitted request. Merge slot s's records are written by
- * exactly one walker (the one that drained s's window) into
- * perSlot[s]; the walker that retires the last slot assembles the
- * result and signals the client. `remaining` decrements with
- * acq_rel so the assembler observes every other walker's slot
- * writes.
+ * One submitted request. Chunk c's records are written by exactly
+ * one walker (the one that drained c's window) into perChunk[c];
+ * the walker that retires the last chunk assembles the result and
+ * signals the client. `remaining` decrements with acq_rel so the
+ * assembler observes every other walker's chunk writes.
  *
  * Completion is sink-agnostic: finalize() assembles the result the
  * same way for every submission route, then deliver() hands it to
@@ -74,11 +73,7 @@ struct ServiceRequest
     std::span<const u64> keys;
     std::atomic<u64> remaining{0};
     std::atomic<u64> count{0}; ///< Count-kind tally
-    std::vector<std::vector<MatchRec>> perSlot;
-    /** Affine-routed: slots are scatter segments, not contiguous
-     *  chunks, so the assembler merges them with one stable sort on
-     *  key position (see finalize). */
-    bool scattered = false;
+    std::vector<std::vector<MatchRec>> perChunk;
 
     /** Absolute deadline (0 = none); written before publication. */
     u64 deadlineNs = 0;
@@ -178,27 +173,17 @@ struct ServiceRequest
             // same field the count path uses; they never carry recs.
             r.matches = count.load(std::memory_order_relaxed);
         } else {
+            // Chunks are position-contiguous and each is sorted by
+            // position, so concatenation is already probeBatch
+            // order.
             std::size_t total = 0;
-            for (const auto &c : perSlot)
+            for (const auto &c : perChunk)
                 total += c.size();
             r.recs.reserve(total);
-            for (auto &c : perSlot)
+            for (auto &c : perChunk)
                 r.recs.insert(r.recs.end(), c.begin(), c.end());
-            // Shared-mode slots are position-contiguous chunks, so
-            // concatenation is already probeBatch order. Scattered
-            // slots partition the positions by shard instead; each
-            // slot is sorted by position and every position (and
-            // every duplicate of a key — one hash, one shard) lives
-            // in exactly one slot, so a stable sort on position
-            // restores the exact probeBatch sequence.
-            if (scattered)
-                std::stable_sort(r.recs.begin(), r.recs.end(),
-                                 [](const MatchRec &a,
-                                    const MatchRec &b) {
-                                     return a.i < b.i;
-                                 });
             r.matches = total;
-            perSlot.clear();
+            perChunk.clear();
         }
         // Publication timestamp and latency accounting. The same
         // `now` closes both components, so per request
@@ -368,8 +353,6 @@ IndexService::start()
                             : db::HashIndex::kProbeBatch,
         1, db::HashIndex::kMaxProbeBatch);
     width_ = std::clamp(cfg_.width, 1u, kMaxWidth);
-    topo_ = cfg_.topology ? cfg_.topology : &Topology::host();
-    affine_ = cfg_.affineRouting && index_.shards() > 1;
     const unsigned walkers =
         std::clamp(cfg_.walkers, 1u, kMaxWalkers);
     // The admission controller steers on measured queue-wait, so
@@ -384,55 +367,7 @@ IndexService::start()
     if (cfg_.watchdogPeriodNs > 0)
         beats_.reset(new WalkerBeat[walkers]);
     wobs_.reset(new WalkerObs[walkers]);
-    sobs_.reset(new ShardObs[index_.shards()]);
     trace_ = cfg_.trace.get();
-
-    if (affine_) {
-        const unsigned S = index_.shards();
-        const unsigned N = topo_->nodes();
-        shardSealed_.resize(S);
-        shardOpen_.resize(S);
-        for (unsigned s = 0; s < S; ++s)
-            shardOpen_[s].shard = int(s);
-
-        // Home shard sets: walkers block-distribute over the nodes
-        // exactly like shards do, and each node's shards deal
-        // round-robin to its walkers — so a shard's home walkers
-        // sit on the node holding (under NodeBound) its arena.
-        // Shards whose node has no walker deal round-robin across
-        // all walkers, preserving the exactly-one-home-walker
-        // invariant (homeShards() exposes it; stealing covers the
-        // rest of the walkers).
-        walkerNode_.resize(walkers);
-        std::vector<std::vector<unsigned>> nodeWalkers(N);
-        for (unsigned w = 0; w < walkers; ++w) {
-            walkerNode_[w] = topo_->nodeForSlot(w, walkers);
-            nodeWalkers[walkerNode_[w]].push_back(w);
-        }
-        home_.assign(walkers, {});
-        std::vector<unsigned> deal(N, 0);
-        std::vector<unsigned> orphans;
-        for (unsigned s = 0; s < S; ++s) {
-            const unsigned node = index_.shardNode(s);
-            if (node < N && !nodeWalkers[node].empty()) {
-                const auto &ws = nodeWalkers[node];
-                home_[ws[deal[node]++ % ws.size()]].push_back(s);
-            } else {
-                orphans.push_back(s);
-            }
-        }
-        for (unsigned i = 0; i < orphans.size(); ++i)
-            home_[i % walkers].push_back(orphans[i]);
-
-        // Pin targets: cycle each node's walkers over its CPUs.
-        walkerCpu_.resize(walkers);
-        std::vector<unsigned> next(N, 0);
-        for (unsigned w = 0; w < walkers; ++w)
-            walkerCpu_[w] = topo_->cpuOnNode(
-                walkerNode_[w], next[walkerNode_[w]]++);
-    } else {
-        home_.assign(walkers, {});
-    }
 
     threads_.reserve(walkers);
     for (unsigned w = 0; w < walkers; ++w)
@@ -464,21 +399,6 @@ IndexService::stop()
             orphans.push_back(std::move(open_));
             open_ = Window{};
         }
-        for (auto &dq : shardSealed_) {
-            for (Window &w : dq)
-                orphans.push_back(std::move(w));
-            dq.clear();
-        }
-        for (Window &w : shardOpen_) {
-            if (w.keys == 0)
-                continue;
-            const int s = w.shard;
-            orphans.push_back(std::move(w));
-            w = Window{};
-            w.shard = s;
-        }
-        sealedCount_ = 0;
-        openKeys_ = 0;
         queuedKeys_.store(0, std::memory_order_relaxed);
     }
     cv_.notifyAll();
@@ -581,10 +501,7 @@ IndexService::submitRequest(
         return;
     }
 
-    const bool admitted = affine_
-                              ? submitAffine(req, kind, keys)
-                              : submitShared(req, kind, keys);
-    if (!admitted) {
+    if (!admit(req, kind, keys)) {
         // The admission path set the status (Rejected over budget,
         // Cancelled after stop); complete here, on the submitting
         // thread — the fast-fail that keeps backpressure cheap.
@@ -717,14 +634,13 @@ IndexService::finishRequest(detail::ServiceRequest &req)
 }
 
 bool
-IndexService::submitShared(
-    std::shared_ptr<detail::ServiceRequest> req, RequestKind kind,
-    std::span<const u64> keys)
+IndexService::admit(std::shared_ptr<detail::ServiceRequest> req,
+                    RequestKind kind, std::span<const u64> keys)
 {
     const u64 num_chunks = (keys.size() + chunk_ - 1) / chunk_;
     req->remaining.store(num_chunks, std::memory_order_relaxed);
     if (kind != RequestKind::Count)
-        req->perSlot.resize(num_chunks);
+        req->perChunk.resize(num_chunks);
 
     // The seal threshold: how full the open window may get before
     // it seals. chunk = full coalescing, 1 = every tail seals its
@@ -794,144 +710,11 @@ IndexService::submitShared(
     return true;
 }
 
-bool
-IndexService::submitAffine(
-    std::shared_ptr<detail::ServiceRequest> req, RequestKind kind,
-    std::span<const u64> keys)
-{
-    // Backpressure pre-check, relaxed and lock-free: an over-budget
-    // submission should not pay for admission hashing and staging
-    // it is about to throw away. Authoritative re-check under the
-    // lock below.
-    if (queuedKeys_.load(std::memory_order_relaxed) >=
-        queuedKeyBound()) {
-        req->trySetStatus(Status::Rejected);
-        return false;
-    }
-
-    // Admission hashing: the dispatcher stage's vector hash runs on
-    // the submitting thread, once, so the scatter can route by
-    // shard and the drains start from pre-hashed keys.
-    const std::size_t n = keys.size();
-    std::vector<u64> hashes(n);
-    for (std::size_t base = 0; base < n;
-         base += db::HashIndex::kMaxProbeBatch) {
-        const std::size_t len = std::min<std::size_t>(
-            db::HashIndex::kMaxProbeBatch, n - base);
-        index_.hashBatch(keys.subspan(base, len),
-                         {hashes.data() + base, len});
-    }
-    req->scattered = kind != RequestKind::Count;
-
-    // Classify outside the lock: per-shard staging runs of
-    // (key, hash, position), exactly sized. Walkers and concurrent
-    // submitters must not stall behind per-key work on m_ — under
-    // the lock the scatter is only bulk splices of these runs plus
-    // O(segments) bookkeeping.
-    const unsigned S = index_.shards();
-    struct Staged
-    {
-        std::vector<u64> keys, hashes;
-        std::vector<std::size_t> pos;
-    };
-    std::vector<u32> shard_of(n);
-    std::vector<std::size_t> cnt(S, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        shard_of[i] = index_.shardOf(hashes[i]);
-        ++cnt[shard_of[i]];
-    }
-    std::vector<Staged> staged(S);
-    for (unsigned s = 0; s < S; ++s) {
-        staged[s].keys.reserve(cnt[s]);
-        staged[s].hashes.reserve(cnt[s]);
-        staged[s].pos.reserve(cnt[s]);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        Staged &st = staged[shard_of[i]];
-        st.keys.push_back(keys[i]);
-        st.hashes.push_back(hashes[i]);
-        st.pos.push_back(i);
-    }
-
-    // Seal threshold, as in submitShared (hold = 1 reproduces
-    // coalesceTails off: every fill seals behind itself).
-    const u32 hold = holdThreshold();
-
-    std::size_t slots = 0;
-    {
-        MutexLock lk(m_);
-        if (stop_) {
-            req->trySetStatus(Status::Cancelled);
-            return false;
-        }
-        if (queuedKeys_.load(std::memory_order_relaxed) >=
-            queuedKeyBound()) {
-            req->trySetStatus(Status::Rejected);
-            return false;
-        }
-        for (unsigned s = 0; s < S; ++s) {
-            const Staged &st = staged[s];
-            std::size_t done = 0;
-            while (done < st.keys.size()) {
-                // Fill the shard's open window up to the chunk
-                // size: one new segment per (request, window),
-                // coalescing with other requests' tails already
-                // parked there.
-                Window &w = shardOpen_[s];
-                const std::size_t take = std::min<std::size_t>(
-                    chunk_ - w.keys, st.keys.size() - done);
-                w.segs.push_back(Segment{req, slots++,
-                                         w.wkeys.size(),
-                                         u32(take)});
-                w.wkeys.insert(w.wkeys.end(),
-                               st.keys.begin() + done,
-                               st.keys.begin() + done + take);
-                w.whashes.insert(w.whashes.end(),
-                                 st.hashes.begin() + done,
-                                 st.hashes.begin() + done + take);
-                w.wpos.insert(w.wpos.end(), st.pos.begin() + done,
-                              st.pos.begin() + done + take);
-                w.keys += u32(take);
-                openKeys_ += take;
-                done += take;
-                if (w.keys >= hold) {
-                    openKeys_ -= w.keys;
-                    noteSeal(w);
-                    shardSealed_[s].push_back(std::move(w));
-                    shardOpen_[s] = Window{};
-                    shardOpen_[s].shard = int(s);
-                    ++sealedCount_;
-                }
-            }
-        }
-        queuedKeys_.fetch_add(n, std::memory_order_relaxed);
-        // Published under the lock, before any walker can pop a
-        // window referencing these slots: the count is only known
-        // once the scatter has run, and perSlot must never resize
-        // concurrently with a drainer's write.
-        req->remaining.store(slots, std::memory_order_relaxed);
-        if (kind != RequestKind::Count)
-            req->perSlot.resize(slots);
-    }
-    // A scatter typically touches several shard queues; wake the
-    // walkers and let home-first claiming sort out who drains what.
-    cv_.notifyAll();
-    return true;
-}
-
 void
 IndexService::walkerMain(unsigned w)
 {
-    if (cfg_.pinWalkers) {
-        // Affine routing pins each walker onto its home node so
-        // home windows drain next to (NodeBound) their shard's
-        // arena; otherwise fold the walker index over the usable
-        // CPUs.
-        if (affine_)
-            pinThreadToCpu(*topo_, walkerCpu_[w]);
-        else
-            pinCurrentThread(w);
-    }
+    if (cfg_.pinWalkers)
+        pinCurrentThread(w); // folded over the usable CPUs
     // Hardware-counter sampling: a per-thread perf event group,
     // started/stopped around every Nth window drain. Opened on this
     // thread so the group counts this walker; where perf access is
@@ -957,21 +740,15 @@ IndexService::walkerMain(unsigned w)
         // against a lagging claimer.
         WIDX_FAILPOINT("service.walker_claim_delay");
         Window win;
-        bool stolen = false;
         {
             MutexLock lk(m_);
             // Park predicate, inlined so the guarded reads sit in
             // the scope the analysis can see the lock in: wake on
             // stop or on anything claimable.
-            while (!stop_ &&
-                   (affine_
-                        ? sealedCount_ == 0 && openKeys_ == 0
-                        : sealed_.empty() && open_.keys == 0))
+            while (!stop_ && sealed_.empty() && open_.keys == 0)
                 cv_.wait(m_);
-            const bool got = affine_ ? claimAffine(w, win, stolen)
-                                     : claimShared(win);
-            if (!got) {
-                // stop_ and every queue drained
+            if (!claim(win)) {
+                // stop_ and the queue drained
                 if (epochs)
                     epochs->releaseSlot(eslot);
                 return;
@@ -980,15 +757,6 @@ IndexService::walkerMain(unsigned w)
         nWindows_.fetch_add(1, std::memory_order_relaxed);
         if (win.segs.size() > 1)
             nCoalesced_.fetch_add(1, std::memory_order_relaxed);
-        if (win.shard >= 0) {
-            nAffine_.fetch_add(1, std::memory_order_relaxed);
-            ShardObs &so = sobs_[unsigned(win.shard)];
-            so.drained.fetch_add(1, std::memory_order_relaxed);
-            if (stolen)
-                so.stolen.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (stolen)
-            nStolen_.fetch_add(1, std::memory_order_relaxed);
         wobs_[w].windows.fetch_add(1, std::memory_order_relaxed);
         bool sampleHw = false;
         if (perf && perf->available())
@@ -1002,8 +770,8 @@ IndexService::walkerMain(unsigned w)
                 monotonicNowNs(), std::memory_order_relaxed);
         }
         // Stall a walker that owns a claimed-but-undrained window:
-        // the chaos tests' main lever (requests must flow around it
-        // via stealing, and the watchdog must report it).
+        // the chaos tests' main lever (the other walkers must keep
+        // claiming around it, and the watchdog must report it).
         WIDX_FAILPOINT("service.walker_stall");
         if (sampleHw)
             perf->start();
@@ -1097,7 +865,7 @@ IndexService::watchdogMain()
 }
 
 bool
-IndexService::claimShared(Window &win)
+IndexService::claim(Window &win)
 {
     if (!sealed_.empty()) {
         win = std::move(sealed_.front());
@@ -1115,59 +883,6 @@ IndexService::claimShared(Window &win)
         queuedKeys_.fetch_sub(win.keys,
                               std::memory_order_relaxed);
         return true;
-    }
-    return false;
-}
-
-bool
-IndexService::claimAffine(unsigned w, Window &win, bool &stolen)
-{
-    const unsigned S = index_.shards();
-    auto popSealed = [&](unsigned s) {
-        win = std::move(shardSealed_[s].front());
-        shardSealed_[s].pop_front();
-        --sealedCount_;
-        queuedKeys_.fetch_sub(win.keys,
-                              std::memory_order_relaxed);
-    };
-    auto grabOpen = [&](unsigned s) {
-        openKeys_ -= shardOpen_[s].keys;
-        win = std::move(shardOpen_[s]);
-        shardOpen_[s] = Window{};
-        shardOpen_[s].shard = int(s);
-        queuedKeys_.fetch_sub(win.keys,
-                              std::memory_order_relaxed);
-    };
-    // Home queues first — sealed before open, same as the shared
-    // path — then steal across the other shards so a skewed shard
-    // never idles a walker while its home walkers are behind.
-    if (sealedCount_ > 0) {
-        for (unsigned s : home_[w])
-            if (!shardSealed_[s].empty()) {
-                popSealed(s);
-                stolen = false;
-                return true;
-            }
-        for (unsigned s = 0; s < S; ++s)
-            if (!shardSealed_[s].empty()) {
-                popSealed(s);
-                stolen = true;
-                return true;
-            }
-    }
-    if (openKeys_ > 0) {
-        for (unsigned s : home_[w])
-            if (shardOpen_[s].keys > 0) {
-                grabOpen(s);
-                stolen = false;
-                return true;
-            }
-        for (unsigned s = 0; s < S; ++s)
-            if (shardOpen_[s].keys > 0) {
-                grabOpen(s);
-                stolen = true;
-                return true;
-            }
     }
     return false;
 }
@@ -1223,19 +938,10 @@ IndexService::processWindow(Window &win)
             ++live;
         }
     }
-    const bool compacted = live != win.segs.size();
-    if (compacted)
-        win.segs.resize(live);
+    win.segs.resize(live);
     if (win.segs.empty())
         return; // every segment expired; nothing to drain
 
-    if (win.shard >= 0) {
-        // Affine window: every key belongs to one shard, so the
-        // drain runs against that shard's flat HashIndex (no
-        // per-key shard resolve; per-shard AVX2 tag filter).
-        drainAffine(win, compacted);
-        return;
-    }
     // Single-shard services (including views of an existing index)
     // drain against the flat HashIndex — no per-key shard resolve,
     // and the AVX2 tag filter applies.
@@ -1249,6 +955,13 @@ template <typename Index>
 void
 IndexService::drainWindow(const Index &idx, Window &win)
 {
+    // Window ordinal -> owning segment and request-relative key
+    // position.
+    struct Ref
+    {
+        u32 seg;
+        std::size_t pos;
+    };
     u64 wkeys[db::HashIndex::kMaxProbeBatch];
     u64 hashes[db::HashIndex::kMaxProbeBatch];
     Ref refs[db::HashIndex::kMaxProbeBatch];
@@ -1267,56 +980,12 @@ IndexService::drainWindow(const Index &idx, Window &win)
         off += seg.len;
     }
 
-    drainGathered(idx, win, wkeys, hashes, refs, off, false);
-}
+    // Slow this drain down (compiled out by default): models a
+    // walker losing its core or hitting pathological memory — the
+    // window is claimed, so its requests are committed to this
+    // walker and only completion can finish them.
+    WIDX_FAILPOINT("service.slow_drain");
 
-void
-IndexService::drainAffine(Window &win, bool compacted)
-{
-    const db::HashIndex &shard = index_.shard(unsigned(win.shard));
-    if (!compacted) {
-        // Keys and hashes were materialized at admission; only the
-        // ordinal -> (segment, position) map is built here.
-        Ref refs[db::HashIndex::kMaxProbeBatch];
-        for (std::size_t s = 0; s < win.segs.size(); ++s) {
-            const Segment &seg = win.segs[s];
-            for (u32 j = 0; j < seg.len; ++j)
-                refs[seg.base + j] =
-                    Ref{u32(s), win.wpos[seg.base + j]};
-        }
-        drainGathered(shard, win, win.wkeys.data(),
-                      win.whashes.data(), refs, win.wkeys.size(),
-                      true);
-        return;
-    }
-    // The deadline cut retired segments, leaving holes in the
-    // window's key/hash arrays (drainGathered walks a dense ordinal
-    // range). Gather the surviving segments' keys into dense
-    // scratch — the expired keys must not be probed at all, which
-    // is the point of failing fast.
-    u64 wkeys[db::HashIndex::kMaxProbeBatch];
-    u64 whashes[db::HashIndex::kMaxProbeBatch];
-    Ref refs[db::HashIndex::kMaxProbeBatch];
-    std::size_t off = 0;
-    for (std::size_t s = 0; s < win.segs.size(); ++s) {
-        const Segment &seg = win.segs[s];
-        for (u32 j = 0; j < seg.len; ++j) {
-            wkeys[off] = win.wkeys[seg.base + j];
-            whashes[off] = win.whashes[seg.base + j];
-            refs[off] = Ref{u32(s), win.wpos[seg.base + j]};
-            ++off;
-        }
-    }
-    drainGathered(shard, win, wkeys, whashes, refs, off, true);
-}
-
-template <typename Index>
-void
-IndexService::drainGathered(const Index &idx, Window &win,
-                            const u64 *wkeys, const u64 *hashes,
-                            const Ref *refs, std::size_t off,
-                            bool noteAggregate)
-{
     // Tag sweep: batched fingerprint filter plus survivor-only
     // header prefetches (the drain's own tag check stays off — the
     // stream skips rejected ordinals). Adaptive mode keeps its
@@ -1324,31 +993,17 @@ IndexService::drainGathered(const Index &idx, Window &win,
     // 32nd untagged window tagged anyway: the sweep is correct
     // either way (no false negatives), and the periodic sample is
     // what lets the recommendation swing back on when traffic turns
-    // selective again. The adaptive decision always reads the
-    // service-level aggregate (index_), not a single shard's view.
-    // Slow this drain down (compiled out by default): models a
-    // walker losing its core or hitting pathological memory — the
-    // window is claimed, so its requests are committed to this
-    // walker and only completion (not stealing) can finish them.
-    WIDX_FAILPOINT("service.slow_drain");
-
+    // selective again.
     bool tagged = effectiveTagged(index_, cfg_.pipeline);
     if (cfg_.pipeline.adaptiveTags && !tagged &&
         nUntagged_.fetch_add(1, std::memory_order_relaxed) % 32 ==
             0)
         tagged = true;
     u64 bits[db::HashIndex::kMaxProbeBatch / 64];
-    if (tagged) {
-        const u64 survivors =
-            tagFilterAndPrefetch(idx, hashes, off, bits);
-        // Affine drains filter against one shard's index, which
-        // feeds only that shard's counters; mirror the sweep into
-        // the cross-shard aggregate the adaptive decision reads.
-        if (noteAggregate)
-            index_.noteTagSweep(off, off - survivors);
-    } else {
+    if (tagged)
+        tagFilterAndPrefetch(idx, hashes, off, bits);
+    else
         idx.prefetchStage(hashes, off, false);
-    }
 
     // Drain through the AMAC ring; records land in per-segment
     // scratch tagged with request-relative positions.
@@ -1368,7 +1023,7 @@ IndexService::drainGathered(const Index &idx, Window &win,
     // Retire each segment: records sort back into probeBatch order
     // (stable on key position — the drain interleaves across keys
     // but emits each key's matches in chain order), land in the
-    // request's (request, slot) merge slot, and the last slot to
+    // request's (request, chunk) merge slot, and the last chunk to
     // retire assembles and publishes the result.
     for (std::size_t s = 0; s < win.segs.size(); ++s) {
         Segment &seg = win.segs[s];
@@ -1382,7 +1037,7 @@ IndexService::drainGathered(const Index &idx, Window &win,
                                 const MatchRec &b) {
                                  return a.i < b.i;
                              });
-            req.perSlot[seg.slot] = std::move(seg_recs[s]);
+            req.perChunk[seg.chunk] = std::move(seg_recs[s]);
         }
         retireSegment(seg);
     }
@@ -1396,8 +1051,6 @@ IndexService::stats() const
     s.keys = nKeys_.load(std::memory_order_relaxed);
     s.windows = nWindows_.load(std::memory_order_relaxed);
     s.coalescedWindows = nCoalesced_.load(std::memory_order_relaxed);
-    s.affineWindows = nAffine_.load(std::memory_order_relaxed);
-    s.stolenWindows = nStolen_.load(std::memory_order_relaxed);
     s.completedOk = nCompletedOk_.load(std::memory_order_relaxed);
     s.rejected = nRejected_.load(std::memory_order_relaxed);
     s.expired = nExpired_.load(std::memory_order_relaxed);
@@ -1500,10 +1153,6 @@ IndexService::collectMetrics(obs::Snapshot &out) const
     counter("widx_service_windows_coalesced_total",
             "Windows spanning more than one request tail",
             rel(nCoalesced_));
-    counter("widx_service_windows_affine_total",
-            "Single-shard windows (affine routing)", rel(nAffine_));
-    counter("widx_service_windows_stolen_total",
-            "Windows drained by a non-home walker", rel(nStolen_));
     counter("widx_service_walker_stalls_total",
             "Watchdog stuck-window reports, all walkers",
             rel(nStalls_));
@@ -1551,28 +1200,6 @@ IndexService::collectMetrics(obs::Snapshot &out) const
         gauge("widx_admission_last_window_count",
               "Samples in the last judged interval",
               double(a.lastWindowCount));
-    }
-
-    // Per-shard window accounting (affine windows only; shared-mode
-    // windows span shards and show up in the service totals).
-    {
-        Family drained, stolen;
-        drained.name = "widx_shard_windows_drained_total";
-        drained.help = "Affine windows drained, by shard";
-        drained.type = MetricType::Counter;
-        stolen.name = "widx_shard_windows_stolen_total";
-        stolen.help =
-            "Affine windows drained by a non-home walker, by shard";
-        stolen.type = MetricType::Counter;
-        for (unsigned s = 0; s < index_.shards(); ++s) {
-            Labels l{{"shard", std::to_string(s)}};
-            drained.samples.push_back(
-                Sample{l, double(rel(sobs_[s].drained)), {}});
-            stolen.samples.push_back(
-                Sample{l, double(rel(sobs_[s].stolen)), {}});
-        }
-        out.push_back(std::move(drained));
-        out.push_back(std::move(stolen));
     }
 
     // Per-walker: windows, stall reports, current drain age, and

@@ -17,8 +17,8 @@
  *
  *  - **Persistent walkers.** K walker threads are spawned once and
  *    park on a condvar between requests — no per-call thread spawn
- *    or join. Optional CPU pinning (slot-folded over the usable
- *    CPUs; home-node CPUs under affine routing).
+ *    or join. Optional CPU pinning, slot-folded over the usable
+ *    CPUs.
  *
  *  - **Submission / completion.** The core surface is asynchronous:
  *    clients submitAsync(kind, keys, opts, sink) from any thread
@@ -39,21 +39,10 @@
  *    nothing sealed grabs the open window as-is, so a lone small
  *    request is served immediately — but when walkers are busy the
  *    open window keeps filling, and the AMAC drains see full-width
- *    windows even when every client sends a handful of keys.
- *
- *  - **Shard-affine routing** (ServiceConfig::affineRouting, the
- *    topology path). submit() vector-hashes the request's keys at
- *    admission and scatters them into *per-shard* dispatch windows
- *    (one open window per shard — small requests still coalesce,
- *    now per shard). Each walker owns a home shard set derived from
- *    the topology (walkers and shards block-distribute over the
- *    same NUMA nodes) and serves its home windows first, stealing
- *    from other shards only when its own queues are empty, so a
- *    skewed shard never idles a walker. An affine window holds keys
- *    of exactly one shard, so its drain runs against that shard's
- *    flat HashIndex — no per-key shard resolve, per-shard AVX2 tag
- *    filter — on arena pages that NodeBound placement put on the
- *    walker's own node.
+ *    windows even when every client sends a handful of keys. Any
+ *    free walker claims the next window, whichever shards its keys
+ *    hash to: the draining walker hashes the window and resolves
+ *    each key's shard mid-drain.
  *
  *  - **Overload and failure handling.** submit() takes an optional
  *    absolute deadline; the admission queues are bounded (statically
@@ -67,15 +56,11 @@
  *
  *  - **Determinism.** A window is drained by exactly one walker;
  *    its per-segment records are stable-sorted by key position
- *    (preserving per-key chain order) and merged by (request, slot)
- *    id — with affine routing the request's records are additionally
- *    merged across shard slots by one final stable sort on key
- *    position (every position lives in exactly one shard, and all
- *    duplicates of a key share a shard, so chain order survives) —
- *    making every request's result sequence byte-identical to a
- *    single-threaded HashIndex::probeBatch over its keys,
- *    independent of walker count, shard count, routing mode,
- *    coalescing, stealing, and thread timing.
+ *    (preserving per-key chain order) and merged by (request,
+ *    chunk) id, making every request's result sequence
+ *    byte-identical to a single-threaded HashIndex::probeBatch over
+ *    its keys, independent of walker count, shard count,
+ *    coalescing, and thread timing.
  *
  * See src/service/README.md for the architecture write-up.
  */
@@ -360,8 +345,10 @@ struct ServiceStats
     u64 keys = 0;
     u64 windows = 0;          ///< dispatch windows drained
     u64 coalescedWindows = 0; ///< windows spanning >1 request tail
-    u64 affineWindows = 0;    ///< single-shard windows (routing on)
-    u64 stolenWindows = 0;    ///< drained by a non-home walker
+    /** Always 0: walkers share one window queue, so no window is
+     *  ever stolen. Kept because bench/e2e's service.stolen_frac
+     *  still reads it. */
+    u64 stolenWindows = 0;
     /** Outcome split: completedOk is the goodput (fully drained
      *  requests); rejected/expired/cancelled count requests that
      *  completed with the matching non-Ok Status (each request in
@@ -508,28 +495,17 @@ class IndexService
     unsigned shards() const { return index_.shards(); }
     const ShardedIndex &index() const { return index_; }
 
-    /** Is shard-affine routing live (configured on and > 1 shard)? */
-    bool affineRouting() const { return affine_; }
-
-    /** A walker's home shard set (affine routing only; empty sets
-     *  mean the walker only steals). */
-    std::span<const unsigned>
-    homeShards(unsigned walker) const
-    {
-        return home_[walker];
-    }
-
     ServiceStats stats() const;
 
     /**
      * Export this service's state into a MetricsRegistry: a
      * scrape-time collector pulls the traffic counters, outcome
-     * split, admission state, per-shard drain/steal counters,
-     * per-walker stall and hardware-counter samples, tag-filter
-     * stats, and the per-kind latency histograms. Registration adds
-     * nothing to the request hot path — the cost is paid by the
-     * scraper. The service must outlive the registry's last
-     * snapshot() (the collector captures `this`).
+     * split, admission state, per-walker window, stall and
+     * hardware-counter samples, tag-filter stats, and the per-kind
+     * latency histograms. Registration adds nothing to the request
+     * hot path — the cost is paid by the scraper. The service must
+     * outlive the registry's last snapshot() (the collector captures
+     * `this`).
      */
     void registerMetrics(obs::MetricsRegistry &reg);
 
@@ -540,40 +516,22 @@ class IndexService
     void resetLatencyStats();
 
   private:
-    /** One contiguous run of keys inside a window, owned by one
-     *  request. In shared windows `base` offsets into req->keys and
-     *  a segment is always a whole admission chunk; in affine
-     *  windows `base` offsets into the window's scattered key
-     *  arrays. `slot` is the request's merge slot (chunk index, or
-     *  scatter-segment ordinal under affine routing). */
+    /** One admission chunk inside a window: keys
+     *  [base, base + len) of req->keys, merged back into the
+     *  request's result as chunk number `chunk`. */
     struct Segment
     {
         std::shared_ptr<detail::ServiceRequest> req;
-        std::size_t slot;
+        std::size_t chunk;
         std::size_t base;
         u32 len; ///< <= pipeline.batch
     };
 
-    /** A dispatch window: what one walker drains in one pass.
-     *  shard >= 0 marks a shard-affine window, which owns its
-     *  admission-hashed keys (wkeys/whashes) and their
-     *  request-relative positions (wpos). */
+    /** A dispatch window: what one walker drains in one pass. */
     struct Window
     {
         std::vector<Segment> segs;
         u32 keys = 0;
-        int shard = -1;
-        std::vector<u64> wkeys;
-        std::vector<u64> whashes;
-        std::vector<std::size_t> wpos;
-    };
-
-    /** Window ordinal -> owning segment and request-relative key
-     *  position (drain scratch). */
-    struct Ref
-    {
-        u32 seg;
-        std::size_t pos;
     };
 
     void start();
@@ -598,13 +556,12 @@ class IndexService
     void applyMutation(const std::shared_ptr<detail::ServiceRequest> &req,
                        RequestKind kind, std::span<const u64> keys,
                        const SubmitOptions &opt);
-    /** Admission paths; false means the request was not enqueued
-     *  (its Status is already set to Rejected or Cancelled and the
-     *  caller completes the ticket). */
-    bool submitShared(std::shared_ptr<detail::ServiceRequest> req,
-                      RequestKind kind, std::span<const u64> keys);
-    bool submitAffine(std::shared_ptr<detail::ServiceRequest> req,
-                      RequestKind kind, std::span<const u64> keys);
+    /** Admission: chunk the request into the window queue. False
+     *  means the request was not enqueued (its Status is already
+     *  set to Rejected or Cancelled and the caller completes the
+     *  ticket). */
+    bool admit(std::shared_ptr<detail::ServiceRequest> req,
+               RequestKind kind, std::span<const u64> keys);
     /** Current open-window seal threshold (adaptive or static). */
     u32 holdThreshold() const;
     /** Effective queued-key bound (config + adaptive budget). */
@@ -619,38 +576,23 @@ class IndexService
     void collectMetrics(obs::Snapshot &out) const;
     /** Complete a request's ticket, counting Ok completions. */
     void finishRequest(detail::ServiceRequest &req);
-    bool claimShared(Window &win) WIDX_REQUIRES(m_);
-    bool claimAffine(unsigned w, Window &win, bool &stolen)
-        WIDX_REQUIRES(m_);
+    /** Pop the next window: sealed first, else the open one. */
+    bool claim(Window &win) WIDX_REQUIRES(m_);
     void processWindow(Window &win);
     template <typename Index>
     void drainWindow(const Index &idx, Window &win);
-    void drainAffine(Window &win, bool compacted);
-    template <typename Index>
-    void drainGathered(const Index &idx, Window &win,
-                       const u64 *wkeys, const u64 *hashes,
-                       const Ref *refs, std::size_t off,
-                       bool noteAggregate);
 
     ShardedIndex index_;
     ServiceConfig cfg_;
     std::size_t chunk_; ///< resolved pipeline.batch
     unsigned width_;    ///< resolved drain width
-    bool affine_ = false;
-    const Topology *topo_ = nullptr;
 
     Mutex m_;
     CondVar cv_;
-    // Shared-mode queues (affine off): one sealed deque, one open
-    // coalescing window.
+    // The window queue: sealed windows in admission order, plus one
+    // open window where sub-chunk tails coalesce.
     std::deque<Window> sealed_ WIDX_GUARDED_BY(m_);
     Window open_ WIDX_GUARDED_BY(m_);
-    // Affine-mode queues: per-shard sealed deques and open windows,
-    // plus O(1) occupancy counters for the park predicate.
-    std::vector<std::deque<Window>> shardSealed_ WIDX_GUARDED_BY(m_);
-    std::vector<Window> shardOpen_ WIDX_GUARDED_BY(m_);
-    std::size_t sealedCount_ WIDX_GUARDED_BY(m_) = 0;
-    u64 openKeys_ WIDX_GUARDED_BY(m_) = 0;
     bool stop_ WIDX_GUARDED_BY(m_) = false;
     std::vector<std::thread> threads_;
 
@@ -693,17 +635,6 @@ class IndexService
     };
     std::unique_ptr<WalkerObs[]> wobs_;
 
-    /** Per-shard window accounting (affine windows carry a shard
-     *  id; shared-mode windows span shards and are not counted
-     *  here). */
-    // widx-lint: padded
-    struct alignas(kCacheBlockBytes) ShardObs
-    {
-        std::atomic<u64> drained{0};
-        std::atomic<u64> stolen{0};
-    };
-    std::unique_ptr<ShardObs[]> sobs_;
-
     /** Span-trace ring (ServiceConfig::trace; null = tracing off).
      *  Raw pointer resolved at start(); cfg_ keeps the ownership. */
     obs::TraceRing *trace_ = nullptr;
@@ -715,25 +646,17 @@ class IndexService
     /** Serializes the join phase of stop() (idempotency). */
     Mutex joinM_;
 
-    /** Per-walker home shard sets, nodes, and pin targets (affine
-     *  routing; fixed after start()). */
-    std::vector<std::vector<unsigned>> home_;
-    std::vector<unsigned> walkerNode_;
-    std::vector<unsigned> walkerCpu_;
-
     std::atomic<u64> nRequests_{0};
     std::atomic<u64> nKeys_{0};
     std::atomic<u64> nWindows_{0};
     std::atomic<u64> nCoalesced_{0};
-    std::atomic<u64> nAffine_{0};
-    std::atomic<u64> nStolen_{0};
     std::atomic<u64> nCompletedOk_{0};
     std::atomic<u64> nRejected_{0};
     std::atomic<u64> nExpired_{0};
     std::atomic<u64> nCancelled_{0};
     std::atomic<u64> nStalls_{0};
     /** Untagged-window counter for adaptive re-sampling (see
-     *  drainGathered). */
+     *  drainWindow). */
     std::atomic<u64> nUntagged_{0};
     /** Live-request gauge (ServiceStats::liveRequests). Shared with
      *  every request — a client can legally hold a ticket past

@@ -41,9 +41,9 @@ enum class NumaPolicy
     /** Topology-aware first touch: each shard is assigned a target
      *  node (Topology::nodeForSlot block distribution) and its
      *  build thread is pinned to a CPU *on that node*, so the
-     *  arena's pages are first-touched where the shard's home
-     *  walkers run. Build threads are always pinned under this
-     *  policy (pinning is the point). */
+     *  arena's pages are first-touched on that node. Build threads
+     *  are always pinned under this policy (pinning is the
+     *  point). */
     NodeBound,
 };
 
@@ -91,27 +91,13 @@ struct ServiceConfig
      *  `walkers` here is ignored — the service's own walker count
      *  rules. */
     PipelineConfig pipeline{};
-    /** Pin walker threads. Without affine routing, walkers pin
-     *  round-robin over the usable CPUs; with it, each walker pins
-     *  to a CPU on its home node (see affineRouting). */
+    /** Pin walker threads round-robin over the usable CPUs
+     *  (pinCurrentThread: walker w takes the w-th usable CPU,
+     *  folded). With FirstTouch placement it also pins the shard
+     *  build threads the same way. */
     bool pinWalkers = false;
     /** Shard arena placement (see NumaPolicy). */
     NumaPolicy numa = NumaPolicy::None;
-    /**
-     * Shard-affine dispatch routing. Off, every walker serves every
-     * window and resolves each key's shard per key mid-drain. On
-     * (and the service owns > 1 shard), submit() scatters a
-     * request's keys into per-shard dispatch windows (keys are
-     * hashed at admission), every walker gets a *home shard set*
-     * from the topology (walkers and shards block-distribute over
-     * the same nodes), and windows route to home walkers first with
-     * work-stealing fallback so skewed shards don't idle walkers.
-     * A window then drains against one shard's flat HashIndex — no
-     * per-key shard resolve, per-shard AVX2 tag filter — and, with
-     * NodeBound placement + pinWalkers, against arena pages on the
-     * walker's own node. Results stay byte-identical to flat
-     * probeBatch (see src/service/README.md). */
-    bool affineRouting = false;
     /**
      * Coalesce sub-chunk request tails into shared open dispatch
      * windows (admission batching — the walkers design's central
@@ -147,8 +133,8 @@ struct ServiceConfig
      * window drain for longer than `stallThresholdNs` is reported:
      * a warning log line plus ServiceStats::walkerStalls (once per
      * stuck window, not per period). Purely observational — the
-     * stolen-window path is what keeps traffic flowing around a
-     * stuck walker. */
+     * other walkers keep claiming from the shared window queue,
+     * which is what keeps traffic flowing around a stuck walker. */
     u64 watchdogPeriodNs = 0;
     /** How long one window drain may run before the watchdog calls
      *  the walker stalled. */

@@ -49,9 +49,8 @@ ShardedIndex::ShardedIndex(const db::Column &keys,
     shards_.resize(std::size_t(s));
 
     // Target nodes: shards block-distribute over the nodes, so a
-    // node owns a contiguous hash range and the walkers homed there
-    // (same distribution) serve it. Computed for every policy —
-    // dispatch routing wants the mapping even when arenas float.
+    // node owns a contiguous hash range. Computed for every policy
+    // (NodeBound places arenas by it; shardNode() reports it).
     const Topology &t = topo ? *topo : Topology::host();
     shardNode_.resize(std::size_t(s));
     for (unsigned sh = 0; sh < s; ++sh)

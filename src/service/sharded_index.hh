@@ -80,8 +80,7 @@ class ShardedIndex
      * @param numa arena placement (see NumaPolicy). NodeBound pins
      *        each shard's build thread to a CPU on the shard's
      *        target node (Topology::nodeForSlot), so first-touch
-     *        lands the arena pages node-local to the shard's home
-     *        walkers.
+     *        lands the arena pages on that node.
      * @param pinBuilders with FirstTouch, pin shard build threads
      *        round-robin over the usable CPUs (NodeBound always
      *        pins).
@@ -117,17 +116,9 @@ class ShardedIndex
 
     /** The shard's target NUMA node (block distribution over the
      *  build topology; 0 for views and single-node hosts). The
-     *  mapping is computed for every placement policy so dispatch
-     *  routing can home walkers even when arenas float. */
+     *  mapping is computed for every placement policy; NodeBound is
+     *  the one that places arena pages by it. */
     unsigned shardNode(unsigned s) const { return shardNode_[s]; }
-
-    /** Record one batched tag sweep in the cross-shard aggregate
-     *  stats (the shard-affine drains filter against a single
-     *  shard's index, which feeds only that shard's counters). */
-    void noteTagSweep(u64 n, u64 rejected) const
-    {
-        stats_.note(n, rejected);
-    }
 
     // --- Probe surface (hash-addressed; see db/hash_index.hh) ----------
 

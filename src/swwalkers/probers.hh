@@ -126,10 +126,8 @@ inline constexpr unsigned kMaxWidth = 64;
  * when a survivor bitmap from the batched tag sweep is supplied —
  * skips rejected positions, so the drain runs with its own tag check
  * off and never loads a tag byte per key. Used by IndexService
- * dispatch windows — including the service's shard-affine windows,
- * whose keys were already hashed at admission and belong to a single
- * shard, so the Index side of the drain is that shard's flat
- * db::HashIndex.
+ * dispatch windows, which the draining walker gathers and hashes
+ * before the tag sweep.
  */
 class HashedChunkStream
 {
@@ -373,12 +371,11 @@ class GroupPrefetchProber
  * Drain a hashed-key stream through a ring of W AMAC probe state
  * machines. The Stream supplies pre-hashed keys via
  * `bool next(std::size_t &i, u64 &key, u64 &hash)` — HashedWindow
- * for the single-threaded prober, a coalesced (or shard-affine,
- * admission-hashed) dispatch window for IndexService walkers — and
- * the Index supplies the hash-addressed probe surface
- * (tagMayMatchHash / bucketHeadFor / nodeKey), so the same state
- * machine serves a flat db::HashIndex, one shard of a sharded
- * service index, and the shard-blind ShardedIndex surface alike.
+ * for the single-threaded prober, a coalesced dispatch window for
+ * IndexService walkers — and the Index supplies the hash-addressed
+ * probe surface (tagMayMatchHash / bucketHeadFor / nodeKey), so the
+ * same state machine serves a flat db::HashIndex and the
+ * shard-resolving ShardedIndex surface alike.
  */
 template <ProbeSurface Index, typename Stream, typename Sink>
 u64

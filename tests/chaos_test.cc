@@ -138,11 +138,10 @@ TEST_F(ChaosTest, StalledWalkerDoesNotBlockOrCorruptTraffic)
     Dataset d(4000, 8000, 11);
     ServiceConfig cfg;
     cfg.shards = 4;
-    cfg.walkers = 4;
-    cfg.affineRouting = true; // stealing is the recovery path
+    cfg.walkers = 4; // the other three keep claiming from the queue
     cfg.watchdogPeriodNs = 5'000'000;   // 5 ms poll
     cfg.stallThresholdNs = 40'000'000;  // call it stuck at 40 ms
-    IndexService service(*d.flat, cfg);
+    IndexService service(*d.build, d.spec, cfg);
 
     // Freeze exactly one claimed window for 250 ms — well past the
     // stall threshold — while the other three walkers keep going.

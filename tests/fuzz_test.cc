@@ -227,8 +227,8 @@ TEST(Fuzz, CacheStressKeepsLruConsistent)
 
 /**
  * Random chaos schedule against the index service: every trial draws
- * a service shape (shards, walkers, routing, coalescing), arms a
- * random subset of the service's failpoints with random budgets and
+ * a service shape (shards, walkers, coalescing), arms a random
+ * subset of the service's failpoints with random budgets and
  * delays, fires a burst of concurrent mixed-size requests, and
  * asserts the only thing fault injection is allowed to change is
  * *timing*: every ticket completes, and every Ok result is
@@ -267,9 +267,8 @@ TEST(Fuzz, ServiceSurvivesRandomFailpointSchedules)
         sw::ServiceConfig cfg;
         cfg.shards = 1u << rng.below(3);
         cfg.walkers = 1 + unsigned(rng.below(4));
-        cfg.affineRouting = rng.chance(0.5);
         cfg.coalesceTails = rng.chance(0.5);
-        sw::IndexService service(flat, cfg);
+        sw::IndexService service(build, spec, cfg);
 
         fp::disarmAll();
         for (const char *site : sites)

@@ -385,6 +385,30 @@ TEST(TcpFrontEnd, DeadlinePropagatesAsRelativeTime)
     EXPECT_EQ(alive.status, Status::Ok);
 }
 
+TEST(WireProtocol, ZeroKeyFramesParse)
+{
+    // A frame with no keys is well-formed (an empty Count, or an
+    // Insert whose payload trailer is empty too): it must parse
+    // without copying into the empty key and payload vectors.
+    namespace net = widx::net;
+    for (RequestKind kind : {RequestKind::Count, RequestKind::Insert}) {
+        std::vector<u8> frame;
+        net::appendRequest(frame, 9, kind, 0, {});
+        net::ReqHeader h;
+        std::vector<u64> keys, payloads; // empty: data() is null
+        ASSERT_TRUE(net::parseRequest(frame.data() + 4,
+                                      frame.size() - 4, h, keys,
+                                      nullptr, &payloads));
+        EXPECT_EQ(h.reqId, 9u);
+        EXPECT_EQ(h.kind, net::wireKindOf(kind));
+        EXPECT_EQ(h.nKeys, 0u);
+        EXPECT_EQ(bool(h.flags & net::kReqFlagPayloads),
+                  kind == RequestKind::Insert);
+        EXPECT_TRUE(keys.empty());
+        EXPECT_TRUE(payloads.empty());
+    }
+}
+
 TEST(TcpFrontEnd, MalformedFrameDropsTheConnection)
 {
     Dataset d(2000, 256, 19);

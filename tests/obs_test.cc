@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -293,8 +294,16 @@ TEST(ServiceObs, RegistryExportsServiceFamilies)
                                  "widx_service_requests_completed_total",
                                  {{"status", "ok"}}),
               2.0);
-    EXPECT_EQ(obs::snapshotValue(snap, "widx_service_live_requests"),
-              0.0);
+    // The live gauge is eventually zero, not instantly: the walker
+    // that published the last completion drops its reference to the
+    // request a beat after the waiter wakes.
+    double live = obs::snapshotValue(snap, "widx_service_live_requests");
+    for (int tries = 0; live != 0.0 && tries < 500; ++tries) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        live = obs::snapshotValue(reg.snapshot(),
+                                  "widx_service_live_requests");
+    }
+    EXPECT_EQ(live, 0.0);
     EXPECT_GE(obs::snapshotValue(snap, "widx_service_windows_total"),
               1.0);
     // Per-walker families exist for every walker.

@@ -8,9 +8,8 @@
  * The service's contract is strict: every request's result sequence
  * must be byte-identical to a single-threaded
  * HashIndex::probeBatch over the request's keys, for any shard
- * count, walker count, engine, coalescing pattern, and thread
- * timing. The tests compare full (i, key, payload) sequences, not
- * multisets.
+ * count, walker count, coalescing pattern, and thread timing. The
+ * tests compare full (i, key, payload) sequences, not multisets.
  */
 
 #include <gtest/gtest.h>
@@ -191,21 +190,8 @@ struct ServiceCase
     double zipf;
     unsigned batch;
     bool tagged;
-    bool affine = false;
     bool coalesce = true;
 };
-
-/** A synthetic 2-node topology shared by the routing cases, so the
- *  multi-node placement and home-set code paths run even on
- *  single-node (and single-core) runners. The fake CPUs may not
- *  exist on the host; pinning is best-effort and stays off here. */
-const Topology &
-fakeTwoNode()
-{
-    static const Topology topo =
-        Topology::fromNodes({{0, 1}, {2, 3}});
-    return topo;
-}
 
 class ServiceEquivalence
     : public ::testing::TestWithParam<ServiceCase>
@@ -223,12 +209,9 @@ TEST_P(ServiceEquivalence, ByteIdenticalToProbeBatch)
     cfg.walkers = c.walkers;
     cfg.pipeline.batch = c.batch;
     cfg.pipeline.tagged = c.tagged;
-    cfg.affineRouting = c.affine;
     cfg.coalesceTails = c.coalesce;
-    if (c.affine)
-        cfg.topology = &fakeTwoNode();
     IndexService service(*d.build, d.spec, cfg);
-    EXPECT_EQ(service.affineRouting(), c.affine && c.shards > 1);
+    EXPECT_EQ(service.shards(), c.shards);
 
     ServiceResult probe = service.probe(d.keys);
     EXPECT_EQ(probe.matches, want.size());
@@ -277,19 +260,6 @@ TEST_P(ServiceEquivalence, ByteIdenticalToProbeBatch)
                     {r.i + sliceBase[s], r.key, r.payload});
         expectSameSequence(got, want, "async slices");
     }
-
-    if (service.affineRouting()) {
-        // Every drained window was a single-shard affine window,
-        // and every shard has exactly one home walker.
-        const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.affineWindows, stats.windows);
-        std::vector<unsigned> owners(service.shards(), 0);
-        for (unsigned w = 0; w < service.walkers(); ++w)
-            for (unsigned s : service.homeShards(w))
-                ++owners[s];
-        for (unsigned s = 0; s < service.shards(); ++s)
-            EXPECT_EQ(owners[s], 1u) << "shard " << s;
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -299,38 +269,30 @@ INSTANTIATE_TEST_SUITE_P(
         ServiceCase{1, 1, false, 0.0, 64, true},
         ServiceCase{1, 2, false, 0.0, 64, true},
         ServiceCase{1, 4, false, 0.0, 64, true},
-        // Shard ladder at fixed walkers.
+        // Shard ladder at fixed walkers, plus the 4-shard/1-walker
+        // shape the TCP benchmark workloads serve and 2 shards under
+        // 4 walkers.
         ServiceCase{2, 2, false, 0.0, 64, true},
         ServiceCase{4, 2, false, 0.0, 64, true},
         ServiceCase{4, 4, false, 0.0, 64, true},
         ServiceCase{8, 2, false, 0.0, 64, true},
+        ServiceCase{4, 1, false, 0.0, 64, true},
+        ServiceCase{2, 4, false, 0.0, 64, true},
         // Tag modes, chunk sizes (incl. inline batch=0 -> default
         // chunking), layouts, skew.
         ServiceCase{4, 4, false, 0.0, 64, false},
         ServiceCase{4, 4, false, 0.0, 16, true},
+        ServiceCase{4, 4, false, 0.0, 16, false},
         ServiceCase{2, 4, false, 0.0, 0, true},
         ServiceCase{4, 4, true, 0.0, 64, true},
         ServiceCase{4, 4, false, 0.8, 64, true},
+        ServiceCase{4, 4, false, 0.8, 0, true},
         ServiceCase{4, 2, true, 0.99, 32, false},
-        // Shard-affine routing sweep (fake 2-node topology):
-        // shards x walkers x tag x chunk x layout x skew, with the
-        // routing-off twin of each shape above for the on/off
-        // acceptance comparison.
-        ServiceCase{2, 2, false, 0.0, 64, true, true},
-        ServiceCase{4, 4, false, 0.0, 64, true, true},
-        ServiceCase{8, 2, false, 0.0, 64, true, true},
-        ServiceCase{4, 1, false, 0.0, 64, true, true},
-        ServiceCase{2, 4, false, 0.0, 64, true, true},
-        ServiceCase{4, 2, true, 0.99, 32, false, true},
-        ServiceCase{4, 4, false, 0.0, 16, false, true},
-        ServiceCase{4, 4, false, 0.8, 0, true, true},
-        // affine flag on a single shard degrades to the flat path.
-        ServiceCase{1, 2, false, 0.0, 64, true, true},
-        // Coalescing off: tails seal their own windows (shared and
-        // affine admission paths) — results must not care.
-        ServiceCase{1, 4, false, 0.0, 64, true, false, false},
-        ServiceCase{4, 2, false, 0.0, 16, true, false, false},
-        ServiceCase{4, 4, false, 0.6, 64, true, true, false}));
+        // Coalescing off: tails seal their own windows — results
+        // must not care.
+        ServiceCase{1, 4, false, 0.0, 64, true, false},
+        ServiceCase{4, 2, false, 0.0, 16, true, false},
+        ServiceCase{4, 4, false, 0.6, 64, true, false}));
 
 TEST(IndexService, WrapsAnExistingIndex)
 {
@@ -370,77 +332,75 @@ TEST(IndexService, ServiceWithNoRequestsTearsDownCleanly)
     // Destructor parks -> joins with zero traffic.
 }
 
-TEST(IndexService, ResultsIndependentOfWalkersShardsAndRouting)
+TEST(IndexService, ResultsIndependentOfWalkersAndShards)
 {
     Dataset d(4000, 20000, false, 0.6, 11);
     std::vector<MatchRec> first;
     bool have_first = false;
     for (unsigned shards : {1u, 4u})
-        for (unsigned walkers : {1u, 2u, 4u})
-            for (bool affine : {false, true}) {
-                ServiceConfig cfg;
-                cfg.shards = shards;
-                cfg.walkers = walkers;
-                cfg.affineRouting = affine;
-                if (affine)
-                    cfg.topology = &fakeTwoNode();
-                IndexService service(*d.build, d.spec, cfg);
-                ServiceResult got = service.probe(d.keys);
-                if (!have_first) {
-                    first = std::move(got.recs);
-                    have_first = true;
-                    continue;
-                }
-                expectSameSequence(got.recs, first,
-                                   "cross-config");
+        for (unsigned walkers : {1u, 2u, 4u}) {
+            ServiceConfig cfg;
+            cfg.shards = shards;
+            cfg.walkers = walkers;
+            IndexService service(*d.build, d.spec, cfg);
+            ServiceResult got = service.probe(d.keys);
+            if (!have_first) {
+                first = std::move(got.recs);
+                have_first = true;
+                continue;
             }
+            expectSameSequence(got.recs, first, "cross-config");
+        }
 }
 
 TEST(IndexService, CoalescesSmallRequestsIntoSharedWindows)
 {
     Dataset d(2000, 6000, false, 0.0, 13);
-    ServiceConfig cfg;
-    cfg.walkers = 1;
-    cfg.pipeline.batch = 64;
-    IndexService service(*d.flat, cfg);
+    for (unsigned shards : {1u, 4u}) {
+        ServiceConfig cfg;
+        cfg.shards = shards;
+        cfg.walkers = 1;
+        cfg.pipeline.batch = 64;
+        IndexService service(*d.build, d.spec, cfg);
 
-    // Occupy the lone walker with a multi-chunk request, then fire
-    // many sub-chunk requests before waiting on any ticket: their
-    // tails coalesce into shared dispatch windows while the walker
-    // works through the big request's sealed chunks.
-    ResultTicket big = service.submit(
-        RequestKind::Count, std::span<const u64>(d.keys));
-    std::vector<ResultTicket> tickets;
-    std::vector<std::span<const u64>> spans;
-    for (std::size_t base = 0; base + 7 <= d.keys.size() &&
-                               tickets.size() < 200;
-         base += 7) {
-        spans.push_back(std::span<const u64>(d.keys).subspan(base, 7));
-        tickets.push_back(
-            service.submit(RequestKind::Probe, spans.back()));
+        // Occupy the lone walker with a multi-chunk request, then
+        // fire many sub-chunk requests before waiting on any
+        // ticket: their tails coalesce into shared dispatch windows
+        // while the walker works through the big request's sealed
+        // chunks. The windows span shards; the drain resolves each
+        // key's shard.
+        ResultTicket big = service.submit(
+            RequestKind::Count, std::span<const u64>(d.keys));
+        std::vector<ResultTicket> tickets;
+        std::vector<std::span<const u64>> spans;
+        for (std::size_t base = 0; base + 7 <= d.keys.size() &&
+                                   tickets.size() < 200;
+             base += 7) {
+            spans.push_back(
+                std::span<const u64>(d.keys).subspan(base, 7));
+            tickets.push_back(
+                service.submit(RequestKind::Probe, spans.back()));
+        }
+        EXPECT_EQ(big.get().matches,
+                  refSequence(*d.flat, d.keys).size());
+        for (std::size_t t = 0; t < tickets.size(); ++t) {
+            const auto want = refSequence(*d.flat, spans[t]);
+            ServiceResult got = tickets[t].get();
+            expectSameSequence(got.recs, want, "coalesced");
+        }
+        const ServiceStats stats = service.stats();
+        EXPECT_EQ(stats.requests, tickets.size() + 1);
+        EXPECT_GT(stats.coalescedWindows, 0u) << shards << " shards";
     }
-    EXPECT_EQ(big.get().matches,
-              refSequence(*d.flat, d.keys).size());
-    for (std::size_t t = 0; t < tickets.size(); ++t) {
-        const auto want = refSequence(*d.flat, spans[t]);
-        ServiceResult got = tickets[t].get();
-        expectSameSequence(got.recs, want, "coalesced");
-    }
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.requests, tickets.size() + 1);
-    EXPECT_GT(stats.coalescedWindows, 0u);
 }
 
 TEST(IndexService, CoalescingOffNeverSharesWindows)
 {
     Dataset d(2000, 6000, false, 0.0, 13);
-    for (bool affine : {false, true}) {
+    for (unsigned shards : {1u, 4u}) {
         ServiceConfig cfg;
-        cfg.shards = affine ? 4 : 1;
+        cfg.shards = shards;
         cfg.walkers = 1;
-        cfg.affineRouting = affine;
-        if (affine)
-            cfg.topology = &fakeTwoNode();
         cfg.pipeline.batch = 64;
         cfg.coalesceTails = false;
         IndexService service(*d.build, d.spec, cfg);
@@ -468,8 +428,7 @@ TEST(IndexService, CoalescingOffNeverSharesWindows)
             expectSameSequence(got.recs, want, "uncoalesced");
         }
         const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.coalescedWindows, 0u)
-            << (affine ? "affine" : "shared");
+        EXPECT_EQ(stats.coalescedWindows, 0u) << shards << " shards";
     }
 }
 
@@ -632,89 +591,20 @@ TEST(IndexService, LatencyRecordingCanBeDisabled)
 }
 
 // ---------------------------------------------------------------------------
-// Shard-affine routing
+// Skewed shard traffic
 // ---------------------------------------------------------------------------
 
-TEST(IndexService, AffineScattersKeysIntoPerShardWindows)
+TEST(IndexService, SkewedShardTrafficStaysByteIdentical)
 {
-    Dataset d(4000, 4096, false, 0.0, 19);
-    ServiceConfig cfg;
-    cfg.shards = 4;
-    cfg.walkers = 2;
-    cfg.affineRouting = true;
-    cfg.topology = &fakeTwoNode();
-    cfg.pipeline.batch = 64;
-    IndexService service(*d.build, d.spec, cfg);
-    ASSERT_TRUE(service.affineRouting());
-
-    const auto want = refSequence(*d.flat, d.keys);
-    ServiceResult got = service.probe(d.keys);
-    expectSameSequence(got.recs, want, "affine-scatter");
-
-    const ServiceStats stats = service.stats();
-    // Every window drained was a single-shard window, and a 4096-key
-    // uniform request fans out across more windows than the flat
-    // chunking would use (keys scatter by hash range).
-    EXPECT_EQ(stats.affineWindows, stats.windows);
-    EXPECT_GE(stats.windows, u64(d.keys.size() / 64));
-}
-
-TEST(IndexService, AffineCoalescesSmallRequestsPerShard)
-{
-    Dataset d(2000, 6000, false, 0.0, 13);
-    ServiceConfig cfg;
-    cfg.shards = 4;
-    cfg.walkers = 1;
-    cfg.affineRouting = true;
-    cfg.topology = &fakeTwoNode();
-    cfg.pipeline.batch = 64;
-    IndexService service(*d.build, d.spec, cfg);
-
-    // Occupy the lone walker, then fire many sub-chunk requests
-    // before waiting on any ticket: their keys scatter into the
-    // per-shard open windows, where tails from different requests
-    // coalesce (a 7-key request's shard-s keys share a window with
-    // other requests' shard-s keys).
-    ResultTicket big = service.submit(
-        RequestKind::Count, std::span<const u64>(d.keys));
-    std::vector<ResultTicket> tickets;
-    std::vector<std::span<const u64>> spans;
-    for (std::size_t base = 0; base + 7 <= d.keys.size() &&
-                               tickets.size() < 200;
-         base += 7) {
-        spans.push_back(
-            std::span<const u64>(d.keys).subspan(base, 7));
-        tickets.push_back(
-            service.submit(RequestKind::Probe, spans.back()));
-    }
-    EXPECT_EQ(big.get().matches,
-              refSequence(*d.flat, d.keys).size());
-    for (std::size_t t = 0; t < tickets.size(); ++t) {
-        const auto want = refSequence(*d.flat, spans[t]);
-        ServiceResult got = tickets[t].get();
-        expectSameSequence(got.recs, want, "affine-coalesced");
-    }
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.requests, tickets.size() + 1);
-    EXPECT_GT(stats.coalescedWindows, 0u);
-    EXPECT_EQ(stats.affineWindows, stats.windows);
-}
-
-TEST(IndexService, SkewedShardTrafficIsServedBySteal)
-{
-    // All probe keys target a single shard (found by hashing), so
-    // only that shard's home walker has home work; with several
-    // walkers the others may steal, and either way every request
-    // must complete exactly (no idle-pool livelock on skew).
+    // All probe keys target a single shard (found by hashing): every
+    // window the walkers claim resolves to that one shard, and every
+    // request must still complete exactly.
     Dataset d(4000, 0, false, 0.0, 21);
     ServiceConfig cfg;
     cfg.shards = 4;
     cfg.walkers = 4;
-    cfg.affineRouting = true;
-    cfg.topology = &fakeTwoNode();
     cfg.pipeline.batch = 64;
     IndexService service(*d.build, d.spec, cfg);
-    ASSERT_TRUE(service.affineRouting());
 
     const ShardedIndex &idx = service.index();
     std::vector<u64> skewed;
@@ -726,13 +616,6 @@ TEST(IndexService, SkewedShardTrafficIsServedBySteal)
     const auto want = refSequence(*d.flat, skewed);
     ServiceResult got = service.probe(skewed);
     expectSameSequence(got.recs, want, "skewed");
-
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.affineWindows, stats.windows);
-    // stolenWindows is timing-dependent (a fast home walker can
-    // drain everything); the accounting must never exceed the
-    // window count.
-    EXPECT_LE(stats.stolenWindows, stats.windows);
 }
 
 // ---------------------------------------------------------------------------
@@ -743,22 +626,15 @@ TEST(IndexService, SkewedShardTrafficIsServedBySteal)
  *  probe/count/join requests — uniform and zipf keys, sub-chunk
  *  through multi-chunk sizes — and each verifies its results
  *  against the single-threaded reference. Raced under the CI TSan
- *  job (ctest PROCESSORS is set in CMakeLists.txt); run twice, once
- *  per routing mode, so the scatter path and the work-stealing
- *  claim race too. */
-void
-concurrentClientsStress(bool affine)
+ *  job (ctest PROCESSORS is set in CMakeLists.txt). */
+TEST(IndexService, ConcurrentClientsStress)
 {
     Dataset d(8192, 0, false, 0.0, 17);
     ServiceConfig cfg;
     cfg.shards = 4;
     cfg.walkers = 4;
     cfg.pipeline.batch = 64;
-    cfg.affineRouting = affine;
-    if (affine)
-        cfg.topology = &fakeTwoNode();
     IndexService service(*d.build, d.spec, cfg);
-    ASSERT_EQ(service.affineRouting(), affine);
 
     constexpr unsigned kClients = 6;
     constexpr unsigned kRequests = 24;
@@ -804,21 +680,7 @@ concurrentClientsStress(bool affine)
         t.join();
     for (unsigned cl = 0; cl < kClients; ++cl)
         EXPECT_EQ(failures[cl], "") << "client " << cl;
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.requests, u64(kClients) * kRequests);
-    if (affine) {
-        EXPECT_EQ(stats.affineWindows, stats.windows);
-    }
-}
-
-TEST(IndexService, ConcurrentClientsStress)
-{
-    concurrentClientsStress(false);
-}
-
-TEST(IndexService, ConcurrentClientsStressAffine)
-{
-    concurrentClientsStress(true);
+    EXPECT_EQ(service.stats().requests, u64(kClients) * kRequests);
 }
 
 // ---------------------------------------------------------------------------
@@ -1021,20 +883,23 @@ TEST(IndexService, ExpiredDeadlineFailsFastWithoutDraining)
               std::string("DeadlineExceeded"));
 }
 
-namespace {
-
-/** Shared body for the backpressure tests: park a huge request so
- *  the admission queue sits far over the bound, then show the next
- *  submission bounces with Status::Rejected — and that admission
- *  reopens once the backlog drains. The race with the walker (it
- *  could drain the whole backlog if this thread is descheduled
- *  between the two submits) is closed with a bounded retry: the
- *  assertion is that rejection *happens* under a standing backlog,
- *  not that any particular interleaving occurs. */
-void
-expectBackpressureBounces(IndexService &service, Dataset &d)
+TEST(IndexService, BackpressureRejectsOverBudgetSubmissions)
 {
     using namespace std::chrono_literals;
+    Dataset d(1u << 15, 1u << 19, false, 0.0, 53);
+    ServiceConfig cfg;
+    cfg.walkers = 1;
+    cfg.maxQueuedKeys = 256;
+    IndexService service(*d.flat, cfg);
+
+    // Park a huge request so the admission queue sits far over the
+    // bound, then show the next submission bounces with
+    // Status::Rejected — and that admission reopens once the
+    // backlog drains. The race with the walker (it could drain the
+    // whole backlog if this thread is descheduled between the two
+    // submits) is closed with a bounded retry: the assertion is
+    // that rejection *happens* under a standing backlog, not that
+    // any particular interleaving occurs.
     bool sawReject = false;
     const u64 want = refSequence(*d.flat, d.keys).size();
     for (int attempt = 0; attempt < 5 && !sawReject; ++attempt) {
@@ -1062,30 +927,6 @@ expectBackpressureBounces(IndexService &service, Dataset &d)
         RequestKind::Count, {d.keys.data(), 64});
     EXPECT_EQ(after.get().status, Status::Ok);
     EXPECT_GE(service.stats().rejected, 1u);
-}
-
-} // namespace
-
-TEST(IndexService, BackpressureRejectsOverBudgetSubmissions)
-{
-    Dataset d(1u << 15, 1u << 19, false, 0.0, 53);
-    ServiceConfig cfg;
-    cfg.walkers = 1;
-    cfg.maxQueuedKeys = 256;
-    IndexService service(*d.flat, cfg);
-    expectBackpressureBounces(service, d);
-}
-
-TEST(IndexService, BackpressureRejectsAffineSubmissions)
-{
-    Dataset d(1u << 15, 1u << 19, false, 0.0, 59);
-    ServiceConfig cfg;
-    cfg.walkers = 1;
-    cfg.shards = 4;
-    cfg.affineRouting = true;
-    cfg.maxQueuedKeys = 256;
-    IndexService service(*d.flat, cfg);
-    expectBackpressureBounces(service, d);
 }
 
 // ---------------------------------------------------------------------------
@@ -1133,15 +974,14 @@ TEST(IndexService, StopCancelsQueuedTicketsAndNeverHangs)
     service.stop();
 }
 
-TEST(IndexService, StopWithAffineBacklogCancelsCleanly)
+TEST(IndexService, StopWithShardedBacklogCancelsCleanly)
 {
     using namespace std::chrono_literals;
     Dataset d(1u << 15, 1u << 17, false, 0.0, 67);
     ServiceConfig cfg;
     cfg.walkers = 2;
     cfg.shards = 4;
-    cfg.affineRouting = true;
-    IndexService service(*d.flat, cfg);
+    IndexService service(*d.build, d.spec, cfg);
 
     std::vector<ResultTicket> tickets;
     for (int i = 0; i < 4; ++i)
@@ -1337,16 +1177,22 @@ TEST(IndexService, ReapBatchesUnderConcurrentSubmitters)
                     {}, cq, t * kPerThread + i);
         });
 
-    // Reap concurrently with the submitters, in bounded batches;
-    // every tag must arrive exactly once, and at least one reap
-    // must return more than one completion (the batching that makes
-    // the queue cheaper than per-ticket waits).
+    // Reap concurrently with the submitters, in bounded batches:
+    // every tag must arrive exactly once, and some reap must return
+    // a completion (maxBatch >= 1). A batch larger than one is not
+    // asserted: with real parallelism the walkers publish
+    // completions while this thread reaps, so each call may return
+    // only one. Bounded by wall-clock time, not by reap() calls:
+    // when each call returns a handful, a slow instrumented (TSan)
+    // build needs more calls than any fixed count allows.
     std::vector<bool> seen(kThreads * kPerThread, false);
     u64 reaped = 0;
     std::size_t maxBatch = 0;
     std::vector<Completion> batch;
-    for (int tries = 0;
-         reaped < kThreads * kPerThread && tries < 600; ++tries) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (reaped < kThreads * kPerThread &&
+           std::chrono::steady_clock::now() < deadline) {
         batch.clear();
         cq->reap(batch, 64, std::chrono::milliseconds(50));
         maxBatch = std::max(maxBatch, batch.size());

@@ -3,9 +3,8 @@
  * Tests for widx::Topology (src/common/topology.{hh,cc}): sysfs
  * cpulist parsing against injected fake trees (1-node, 2-node,
  * sparse/offline-CPU layouts), affinity-mask intersection, the
- * slot -> node/CPU placement queries the service's shard-affine
- * routing is built on, and the folding behavior of the pinning
- * helpers.
+ * slot -> node/CPU placement queries NodeBound shard placement is
+ * built on, and the folding behavior of the pinning helpers.
  */
 
 #include <gtest/gtest.h>
@@ -182,8 +181,7 @@ TEST(Topology, NodeForSlotBlockDistributes)
         Topology::fromNodes({{0}, {1}, {2}, {3}});
     EXPECT_EQ(q.nodeForSlot(0, 2), 0u);
     EXPECT_EQ(q.nodeForSlot(1, 2), 2u);
-    // Shards and walkers distributed with the same slot count land
-    // on the same node — the invariant home-set routing relies on.
+    // Every slot of every count lands on a real node.
     for (unsigned slots : {2u, 4u, 8u})
         for (unsigned s = 0; s < slots; ++s)
             EXPECT_LT(t.nodeForSlot(s, slots), t.nodes());
