@@ -1,10 +1,32 @@
 #include "common/arena.hh"
 
-#include <cstring>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <new>
 
 #include "common/logging.hh"
 
 namespace widx {
+
+namespace {
+
+constexpr std::size_t kHugePageBytes = std::size_t(2) << 20;
+
+std::size_t
+roundUp(std::size_t v, std::size_t to)
+{
+    return (v + to - 1) & ~(to - 1);
+}
+
+} // namespace
+
+void
+Arena::Unmap::operator()(unsigned char *p) const
+{
+    munmap(p, bytes);
+}
 
 Arena::Arena(std::size_t chunk_bytes)
     : chunkBytes_(chunk_bytes)
@@ -23,9 +45,29 @@ Arena::ensureRoom(std::size_t bytes, std::size_t align)
     }
     std::size_t want = bytes + align > chunkBytes_ ? bytes + align
                                                    : chunkBytes_;
+    // The kernel hands out zeroed pages, so nothing is touched here:
+    // a page costs RSS only once the index writes it.
+    const std::size_t page = std::size_t(sysconf(_SC_PAGESIZE));
+    const std::size_t len = roundUp(want, page);
+    void *m = mmap(nullptr, len + page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED)
+        throw std::bad_alloc();
+    auto *base = static_cast<unsigned char *>(m);
     Chunk c;
-    c.data = std::make_unique<unsigned char[]>(want);
-    std::memset(c.data.get(), 0, want);
+    c.data = std::unique_ptr<unsigned char[], Unmap>(
+        base, Unmap{len + page});
+    panic_if(mprotect(base + len, page, PROT_NONE) != 0,
+             "arena guard page: mprotect failed");
+    // Advice only: where THP is off or the interior holds no whole
+    // huge page, the chunk simply stays on base pages.
+    const auto lo = roundUp(reinterpret_cast<std::uintptr_t>(base),
+                            kHugePageBytes);
+    const auto hi = (reinterpret_cast<std::uintptr_t>(base) + len) &
+                    ~(kHugePageBytes - 1);
+    if (hi > lo)
+        (void)madvise(reinterpret_cast<void *>(lo), hi - lo,
+                      MADV_HUGEPAGE);
     c.size = want;
     c.used = 0;
     reserved_ += want;

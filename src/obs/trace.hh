@@ -10,14 +10,18 @@
  * under overload the ring overwrites its oldest entries — tracing
  * never blocks, allocates, or back-pressures the request path.
  *
- * Writer protocol (wait-free): a writer claims a global ticket with
- * one relaxed fetch_add, then publishes into its slot under a
- * per-slot sequence (seqlock flavored): seq <- odd (write begins),
- * fields, seq <- even ticket tag (write complete, release). Readers
- * load seq (acquire), copy the fields, and re-check seq — a torn
- * slot (writer wrapped past the reader) is detected and skipped, not
- * mis-reported. Every field is an atomic accessed relaxed, so the
- * race is benign under TSan too, by construction rather than by
+ * Writer protocol (wait-free): a writer takes a global ticket t
+ * with one relaxed fetch_add, then claims its slot under a per-slot
+ * sequence (seqlock flavored): one CAS moves seq from an older even
+ * value to 2t + 1 (write begins), then the fields, then
+ * seq <- 2t + 2 (write complete, release). A writer that finds the
+ * slot odd (another writer mid-write) or already at 2t + 1 or past
+ * it (a later lap owns the slot) drops its event instead of
+ * waiting, so two writers a lap apart can never interleave their
+ * field stores. Readers load seq (acquire), copy the fields, and
+ * re-check seq — a slot rewritten mid-copy is detected and skipped,
+ * not mis-reported. Every field is an atomic accessed relaxed, so
+ * the race is benign under TSan too, by construction rather than by
  * suppression.
  *
  * `renderChromeTrace()` emits the snapshot as chrome://tracing /
@@ -62,14 +66,24 @@ class TraceRing
     /** @param capacity slots, rounded up to a power of two. */
     explicit TraceRing(std::size_t capacity = 4096);
 
-    /** Stamp one span event (wait-free, never blocks). */
+    /** Stamp one span event (wait-free, never blocks; dropped when
+     *  another writer holds or has overtaken the slot). */
     // widx-lint: seqlock-writer
     void
     record(u64 traceId, SpanPoint point, u64 tsNs, u32 arg = 0)
     {
         const u64 t = head_.fetch_add(1, std::memory_order_relaxed);
         Slot &s = slots_[t & mask_];
-        s.seq.store(2 * t + 1, std::memory_order_release);
+        // A failed CAS means another writer claimed the slot since
+        // the load, so the retries are bounded by the older tickets
+        // that share it.
+        u64 seq = s.seq.load(std::memory_order_relaxed);
+        do {
+            if ((seq & 1) != 0 || seq >= 2 * t + 1)
+                return;
+        } while (!s.seq.compare_exchange_strong(
+            seq, 2 * t + 1, std::memory_order_acq_rel,
+            std::memory_order_relaxed));
         s.traceId.store(traceId, std::memory_order_relaxed);
         s.tsNs.store(tsNs, std::memory_order_relaxed);
         s.point.store(u32(point), std::memory_order_relaxed);
@@ -82,7 +96,8 @@ class TraceRing
      *  writers; the cut is approximate while they run. */
     std::vector<Event> snapshot() const;
 
-    /** Total events ever recorded (>= capacity means wrapped). */
+    /** Tickets ever taken, dropped events included (>= capacity
+     *  means wrapped). */
     u64
     recorded() const
     {

@@ -45,11 +45,11 @@ struct LatencyBoard
 };
 
 /**
- * One submitted request. Chunk c's records are written by exactly
- * one walker (the one that drained c's window) into perChunk[c];
- * the walker that retires the last chunk assembles the result and
+ * One submitted request. Segment s's records are written by exactly
+ * one walker (the one that drained s's window) into perSlot[s];
+ * the walker that retires the last segment assembles the result and
  * signals the client. `remaining` decrements with acq_rel so the
- * assembler observes every other walker's chunk writes.
+ * assembler observes every other walker's segment writes.
  *
  * Completion is sink-agnostic: finalize() assembles the result the
  * same way for every submission route, then deliver() hands it to
@@ -73,7 +73,7 @@ struct ServiceRequest
     std::span<const u64> keys;
     std::atomic<u64> remaining{0};
     std::atomic<u64> count{0}; ///< Count-kind tally
-    std::vector<std::vector<MatchRec>> perChunk;
+    std::vector<std::vector<MatchRec>> perSlot;
 
     /** Absolute deadline (0 = none); written before publication. */
     u64 deadlineNs = 0;
@@ -173,17 +173,17 @@ struct ServiceRequest
             // same field the count path uses; they never carry recs.
             r.matches = count.load(std::memory_order_relaxed);
         } else {
-            // Chunks are position-contiguous and each is sorted by
-            // position, so concatenation is already probeBatch
+            // Segments are position-contiguous and each is sorted
+            // by position, so concatenation is already probeBatch
             // order.
             std::size_t total = 0;
-            for (const auto &c : perChunk)
+            for (const auto &c : perSlot)
                 total += c.size();
             r.recs.reserve(total);
-            for (auto &c : perChunk)
+            for (auto &c : perSlot)
                 r.recs.insert(r.recs.end(), c.begin(), c.end());
             r.matches = total;
-            perChunk.clear();
+            perSlot.clear();
         }
         // Publication timestamp and latency accounting. The same
         // `now` closes both components, so per request
@@ -339,7 +339,7 @@ IndexService::IndexService(const db::Column &buildKeys,
                            const db::IndexSpec &spec,
                            const ServiceConfig &cfg)
     : index_(buildKeys, spec, cfg.shards, cfg.numa,
-             cfg.pinWalkers, cfg.topology, cfg.mutation),
+             cfg.pinWalkers, nullptr, cfg.mutation),
       cfg_(cfg)
 {
     start();
@@ -637,10 +637,26 @@ bool
 IndexService::admit(std::shared_ptr<detail::ServiceRequest> req,
                     RequestKind kind, std::span<const u64> keys)
 {
-    const u64 num_chunks = (keys.size() + chunk_ - 1) / chunk_;
-    req->remaining.store(num_chunks, std::memory_order_relaxed);
+    // Full chunks seal as windows of up to kMaxProbeBatch keys, so
+    // one claim keeps the AMAC ring full across up to 1024 keys. The
+    // window count rounds up to a multiple of the walker count, so a
+    // request on an idle service spreads over every walker instead
+    // of draining on one. With F full chunks, K walkers and
+    // m = kMaxProbeBatch / chunk chunks per window, that is
+    // min(F, K * ceil(F / (K * m))) windows, each dealt a contiguous
+    // run of F / windows chunks (the first F % windows one more).
+    const std::size_t full = keys.size() / chunk_;
+    const std::size_t perWindow =
+        db::HashIndex::kMaxProbeBatch / chunk_;
+    const std::size_t lanes = walkers();
+    const std::size_t sealed =
+        std::min(full, lanes * ((full + lanes * perWindow - 1) /
+                                (lanes * perWindow)));
+    const bool tail = keys.size() % chunk_ != 0;
+    const std::size_t slots = sealed + (tail ? 1 : 0);
+    req->remaining.store(slots, std::memory_order_relaxed);
     if (kind != RequestKind::Count)
-        req->perChunk.resize(num_chunks);
+        req->perSlot.resize(slots);
 
     // The seal threshold: how full the open window may get before
     // it seals. chunk = full coalescing, 1 = every tail seals its
@@ -665,15 +681,17 @@ IndexService::admit(std::shared_ptr<detail::ServiceRequest> req,
             return false;
         }
         // Full chunks seal immediately as single-segment windows.
-        std::size_t c = 0;
         std::size_t base = 0;
-        for (; base + chunk_ <= keys.size();
-             base += chunk_, ++c) {
-            Window w;
-            w.segs.push_back(Segment{req, c, base, u32(chunk_)});
-            w.keys = u32(chunk_);
-            noteSeal(w); // full chunks seal at admission
-            sealed_.push_back(std::move(w));
+        for (std::size_t w = 0; w < sealed; ++w) {
+            const std::size_t chunks =
+                full / sealed + (w < full % sealed ? 1 : 0);
+            const u32 len = u32(chunks * chunk_);
+            Window win;
+            win.segs.push_back(Segment{req, w, base, len});
+            win.keys = len;
+            noteSeal(win); // full chunks seal at admission
+            sealed_.push_back(std::move(win));
+            base += len;
             ++added;
         }
         // The sub-chunk tail coalesces into the shared open window
@@ -689,7 +707,7 @@ IndexService::admit(std::shared_ptr<detail::ServiceRequest> req,
                 open_ = Window{};
                 ++added;
             }
-            open_.segs.push_back(Segment{req, c, base, len});
+            open_.segs.push_back(Segment{req, sealed, base, len});
             open_.keys += len;
             if (open_.keys >= hold) {
                 noteSeal(open_);
@@ -1023,8 +1041,8 @@ IndexService::drainWindow(const Index &idx, Window &win)
     // Retire each segment: records sort back into probeBatch order
     // (stable on key position — the drain interleaves across keys
     // but emits each key's matches in chain order), land in the
-    // request's (request, chunk) merge slot, and the last chunk to
-    // retire assembles and publishes the result.
+    // request's merge slot, and the last segment to retire
+    // assembles and publishes the result.
     for (std::size_t s = 0; s < win.segs.size(); ++s) {
         Segment &seg = win.segs[s];
         detail::ServiceRequest &req = *seg.req;
@@ -1037,7 +1055,7 @@ IndexService::drainWindow(const Index &idx, Window &win)
                                 const MatchRec &b) {
                                  return a.i < b.i;
                              });
-            req.perChunk[seg.chunk] = std::move(seg_recs[s]);
+            req.perSlot[seg.slot] = std::move(seg_recs[s]);
         }
         retireSegment(seg);
     }

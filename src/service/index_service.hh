@@ -24,7 +24,7 @@
  *    clients submitAsync(kind, keys, opts, sink) from any thread
  *    (the submission queue is a mutex-guarded MPSC structure —
  *    contended per request, never per key) and the request's result
- *    is *delivered* when its last chunk completes — to a callback,
+ *    is *delivered* when its last segment completes — to a callback,
  *    or onto a CompletionQueue the client reaps in batches. Nothing
  *    blocks between submissions, so a single client thread keeps
  *    thousands of probes in flight. The blocking ResultTicket
@@ -33,9 +33,14 @@
  *    handling, and latency stamping are identical on every route.
  *
  *  - **Admission batching.** Each request is sliced into chunks of
- *    `pipeline.batch` keys. Full chunks become sealed dispatch
- *    windows immediately; sub-chunk tails land in one shared *open*
- *    window where concurrent small requests coalesce. A walker with
+ *    `pipeline.batch` keys. Full chunks seal immediately, as
+ *    windows of up to HashIndex::kMaxProbeBatch (1024) keys: with F
+ *    full chunks and K walkers, min(F, K·⌈F / (K·m)⌉) windows of
+ *    m = 1024 / batch chunks or fewer, so one claim keeps the AMAC
+ *    ring full across up to 1024 keys and a request on an idle
+ *    service still spreads over every walker. Sub-chunk tails land
+ *    in one shared *open* window where concurrent small requests
+ *    coalesce up to `pipeline.batch` keys. A walker with
  *    nothing sealed grabs the open window as-is, so a lone small
  *    request is served immediately — but when walkers are busy the
  *    open window keeps filling, and the AMAC drains see full-width
@@ -57,7 +62,7 @@
  *  - **Determinism.** A window is drained by exactly one walker;
  *    its per-segment records are stable-sorted by key position
  *    (preserving per-key chain order) and merged by (request,
- *    chunk) id, making every request's result sequence
+ *    slot) id, making every request's result sequence
  *    byte-identical to a single-threaded HashIndex::probeBatch over
  *    its keys, independent of walker count, shard count,
  *    coalescing, and thread timing.
@@ -328,7 +333,7 @@ class ResultTicket
  *  to the end-to-end sum to the nanosecond. For sub-chunk requests
  *  — the single-segment shape that populates the coalescing window
  *  — the whole coalescing hold is therefore in the queue-wait
- *  column; a multi-chunk request's first sealed chunk ends its
+ *  column; a multi-chunk request's first sealed window ends its
  *  queue-wait, so a hold on its *tail* lands in drain-time
  *  (completion still waits for the last segment). */
 struct KindLatency
@@ -516,15 +521,17 @@ class IndexService
     void resetLatencyStats();
 
   private:
-    /** One admission chunk inside a window: keys
-     *  [base, base + len) of req->keys, merged back into the
-     *  request's result as chunk number `chunk`. */
+    /** One request's share of a window: keys [base, base + len) of
+     *  req->keys, merged back into the request's result as slot
+     *  `slot` (the request's segments in key order). */
     struct Segment
     {
         std::shared_ptr<detail::ServiceRequest> req;
-        std::size_t chunk;
+        std::size_t slot;
         std::size_t base;
-        u32 len; ///< <= pipeline.batch
+        /** A run of full chunks (<= kMaxProbeBatch keys) or a
+         *  sub-chunk tail. */
+        u32 len;
     };
 
     /** A dispatch window: what one walker drains in one pass. */
@@ -556,7 +563,7 @@ class IndexService
     void applyMutation(const std::shared_ptr<detail::ServiceRequest> &req,
                        RequestKind kind, std::span<const u64> keys,
                        const SubmitOptions &opt);
-    /** Admission: chunk the request into the window queue. False
+    /** Admission: cut the request into the window queue. False
      *  means the request was not enqueued (its Status is already
      *  set to Rejected or Cancelled and the caller completes the
      *  ticket). */

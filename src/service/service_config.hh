@@ -14,10 +14,6 @@
 #include "service/admission.hh"
 #include "swwalkers/pipeline_config.hh"
 
-namespace widx {
-class Topology;
-}
-
 namespace widx::obs {
 class TraceRing; // obs/trace.hh; kept opaque so this stays a leaf
 }
@@ -85,9 +81,12 @@ struct ServiceConfig
     unsigned walkers = 1;
     /** In-flight probes per walker drain (AMAC W). */
     unsigned width = 8;
-    /** Shared pipeline knobs: `batch` is the dispatch-window size
-     *  requests are chunked into (and small requests coalesce up
-     *  to), `tagged`/`adaptiveTags` control the fingerprint filter.
+    /** Shared pipeline knobs: `batch` is the chunk size requests
+     *  are sliced into. Sub-chunk tails coalesce into shared
+     *  windows of up to `batch` keys; a request's full chunks seal
+     *  as windows of up to HashIndex::kMaxProbeBatch keys, spread
+     *  over the walkers (see IndexService, "Admission batching").
+     *  `tagged`/`adaptiveTags` control the fingerprint filter.
      *  `walkers` here is ignored — the service's own walker count
      *  rules. */
     PipelineConfig pipeline{};
@@ -169,9 +168,6 @@ struct ServiceConfig
     /** Live mutation (Insert/Delete/Upsert kinds, per-shard single
      *  writer, epoch reclamation, incremental rebuilds). */
     MutationConfig mutation{};
-    /** Topology override for tests (synthetic multi-node trees);
-     *  null = Topology::host(). Must outlive the service. */
-    const Topology *topology = nullptr;
 };
 
 } // namespace widx::sw

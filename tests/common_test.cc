@@ -5,7 +5,10 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstring>
 #include <set>
 
 #include "common/arena.hh"
@@ -143,6 +146,117 @@ TEST(Arena, LargeAllocationExceedingChunk)
     auto *big = arena.makeArray<u64>(10000);
     big[9999] = 42;
     EXPECT_EQ(big[9999], 42u);
+}
+
+namespace {
+
+/** True while the page holding p is mapped (mincore fails with
+ *  ENOMEM on an unmapped range). */
+bool
+pageMapped(const void *p)
+{
+    const std::uintptr_t page = std::uintptr_t(sysconf(_SC_PAGESIZE));
+    unsigned char resident;
+    return mincore(reinterpret_cast<void *>(
+                       reinterpret_cast<std::uintptr_t>(p) &
+                       ~(page - 1)),
+                   page, &resident) == 0;
+}
+
+bool
+allZero(const unsigned char *p, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        if (p[i] != 0)
+            return false;
+    return true;
+}
+
+} // namespace
+
+TEST(Arena, ZeroedAcrossChunksAndInOneHugeAllocation)
+{
+    constexpr std::size_t kChunk = 64u << 10;
+    Arena arena(kChunk);
+    // Each block fills a chunk, so four blocks take four chunks.
+    std::set<const unsigned char *> seen;
+    for (int i = 0; i < 4; ++i) {
+        auto *p = static_cast<unsigned char *>(
+            arena.allocateBytes(kChunk - 64, 64));
+        EXPECT_TRUE(allZero(p, kChunk - 64)) << "block " << i;
+        std::memset(p, 0xff, kChunk - 64);
+        seen.insert(p);
+    }
+    EXPECT_EQ(seen.size(), 4u);
+    // Larger than both the chunk and a 2 MiB huge page: the chunk
+    // gets an advised interior and must still read back zero.
+    const std::size_t big = (3u << 20) + 123;
+    auto *q = static_cast<unsigned char *>(arena.allocateBytes(big));
+    EXPECT_TRUE(allZero(q, big));
+    std::memset(q, 0xab, big);
+    EXPECT_EQ(q[big - 1], 0xab);
+    // Accounting counts requested bytes, not page-rounded mappings.
+    EXPECT_EQ(arena.allocatedBytes(), 4 * (kChunk - 64) + big);
+    EXPECT_EQ(arena.reservedBytes(), 4 * kChunk + big + 8);
+}
+
+TEST(Arena, AlignmentUpToAPageSurvivesChunkGrowth)
+{
+    Arena arena(8192);
+    for (int round = 0; round < 8; ++round)
+        for (std::size_t align : {8u, 64u, 512u, 4096u}) {
+            auto *p = static_cast<unsigned char *>(
+                arena.allocateBytes(3000, align));
+            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
+                << "round " << round << " align " << align;
+            EXPECT_TRUE(allZero(p, 3000));
+            std::memset(p, 1, 3000);
+        }
+    EXPECT_EQ(arena.allocatedBytes(), 8u * 4u * 3000u);
+    EXPECT_GT(arena.reservedBytes(), 3u * 8192u);
+}
+
+TEST(Arena, MoveAndReleaseAllUnmapChunks)
+{
+    Arena a(64u << 10);
+    auto *p = a.makeArray<u64>(1000);
+    p[999] = 7;
+    Arena b(std::move(a));
+    EXPECT_EQ(p[999], 7u); // a move keeps the mappings
+    EXPECT_EQ(b.allocatedBytes(), 8000u);
+    EXPECT_EQ(b.reservedBytes(), 64u << 10);
+
+    Arena c(4096);
+    auto *old = c.makeArray<u64>(4);
+    EXPECT_TRUE(pageMapped(old));
+    c = std::move(b); // c's own chunk goes with its old state
+    EXPECT_FALSE(pageMapped(old));
+    EXPECT_EQ(p[999], 7u);
+
+    c.releaseAll();
+    EXPECT_FALSE(pageMapped(p));
+    EXPECT_EQ(c.allocatedBytes(), 0u);
+    EXPECT_EQ(c.reservedBytes(), 0u);
+
+    const void *scoped = nullptr;
+    {
+        Arena d(4096);
+        scoped = d.allocateBytes(10);
+        EXPECT_TRUE(pageMapped(scoped));
+    }
+    EXPECT_FALSE(pageMapped(scoped));
+}
+
+TEST(ArenaDeathTest, WritePastAChunkFaults)
+{
+    constexpr std::size_t kChunk = 64u << 10; // whole pages
+    Arena arena(kChunk);
+    // The first allocation starts at the chunk's mapping, so byte
+    // kChunk is the first byte of the guard page.
+    auto *p = static_cast<volatile unsigned char *>(
+        arena.allocateBytes(kChunk - 8, 8));
+    p[kChunk - 1] = 1; // last byte of the mapping: fine
+    EXPECT_DEATH(p[kChunk] = 1, "");
 }
 
 TEST(FixedQueue, FifoOrderAndCapacity)

@@ -62,3 +62,43 @@ empty_section(Slot4Corpus &s, unsigned long t)
     s.seq.store(2 * t + 1, std::memory_order_release);
     s.seq.store(2 * t + 2, std::memory_order_release);
 }
+
+// widx-lint: seqlock-writer
+void
+cas_claim(Slot4Corpus &s, unsigned long t, unsigned long v)
+{
+    // A CAS from an older even value is a valid begin step.
+    unsigned long seq = s.seq.load(std::memory_order_relaxed);
+    if (!s.seq.compare_exchange_strong(seq, 2 * t + 1,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_relaxed))
+        return;
+    s.payload.store(v, std::memory_order_relaxed);
+    s.seq.store(2 * t + 2, std::memory_order_release);
+}
+
+// widx-lint: seqlock-writer
+void
+relaxed_cas_claim(Slot4Corpus &s, unsigned long t, unsigned long v)
+{
+    unsigned long seq = s.seq.load(std::memory_order_relaxed);
+    if (!s.seq.compare_exchange_strong(seq, 2 * t + 1, // finding
+                                       std::memory_order_relaxed,
+                                       std::memory_order_relaxed))
+        return;
+    s.payload.store(v, std::memory_order_relaxed);
+    s.seq.store(2 * t + 2, std::memory_order_release);
+}
+
+// widx-lint: seqlock-writer
+void
+even_cas_claim(Slot4Corpus &s, unsigned long t, unsigned long v)
+{
+    unsigned long seq = s.seq.load(std::memory_order_relaxed);
+    if (!s.seq.compare_exchange_weak(seq, 2 * t, // finding: not odd
+                                     std::memory_order_release,
+                                     std::memory_order_relaxed))
+        return;
+    s.payload.store(v, std::memory_order_relaxed);
+    s.seq.store(2 * t + 2, std::memory_order_release);
+}

@@ -20,6 +20,7 @@
 #include "common/arena.hh"
 #include "common/rng.hh"
 #include "db/hash_join.hh"
+#include "obs/trace.hh"
 #include "service/index_service.hh"
 #include "service/open_loop.hh"
 #include "workload/distributions.hh"
@@ -293,6 +294,105 @@ INSTANTIATE_TEST_SUITE_P(
         ServiceCase{1, 4, false, 0.0, 64, true, false},
         ServiceCase{4, 2, false, 0.0, 16, true, false},
         ServiceCase{4, 4, false, 0.6, 64, true, false}));
+
+// ---------------------------------------------------------------------------
+// IndexService: walker-balanced windows for large requests
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** Windows one request seals on an idle service: with `full` keys
+ *  in F full chunks and K walkers, min(F, K * ceil(full / (K *
+ *  1024))) windows, plus one for a sub-chunk tail. */
+std::size_t
+expectedWindows(std::size_t keys, std::size_t batch,
+                std::size_t walkers)
+{
+    const std::size_t chunks = keys / batch;
+    const std::size_t full = chunks * batch;
+    const std::size_t cap = walkers * db::HashIndex::kMaxProbeBatch;
+    return std::min(chunks, walkers * ((full + cap - 1) / cap)) +
+           (keys % batch != 0 ? 1 : 0);
+}
+
+} // namespace
+
+TEST(IndexService, LargeRequestsSealWalkerBalancedWindows)
+{
+    Dataset d(4000, 10000, false, 0.0, 41);
+    u64 traceId = 0;
+    for (unsigned batch : {16u, 64u})
+        for (unsigned shards : {1u, 4u})
+            for (unsigned walkers : {1u, 3u}) {
+                ServiceConfig cfg;
+                cfg.shards = shards;
+                cfg.walkers = walkers;
+                cfg.pipeline.batch = batch;
+                auto ring = std::make_shared<obs::TraceRing>(4096);
+                cfg.trace = ring;
+                IndexService service(*d.build, d.spec, cfg);
+                for (std::size_t n :
+                     {std::size_t(batch) - 1, std::size_t(batch),
+                      std::size_t(1023), std::size_t(1024),
+                      std::size_t(1025),
+                      std::size_t(3 * 1024 + batch + 5),
+                      std::size_t(10000)}) {
+                    const std::span<const u64> keys(d.keys.data(), n);
+                    const auto want = refSequence(*d.flat, keys);
+                    const std::string what =
+                        "batch " + std::to_string(batch) + " shards " +
+                        std::to_string(shards) + " walkers " +
+                        std::to_string(walkers) + " keys " +
+                        std::to_string(n);
+                    for (RequestKind kind :
+                         {RequestKind::Probe, RequestKind::Count,
+                          RequestKind::Join}) {
+                        // One request at a time, so each delta is
+                        // this request's windows alone.
+                        const u64 before = service.stats().windows;
+                        SubmitOptions opt;
+                        opt.traceId = ++traceId;
+                        ServiceResult r =
+                            service.submit(kind, keys, opt).get();
+                        EXPECT_EQ(service.stats().windows - before,
+                                  expectedWindows(n, batch, walkers))
+                            << what;
+                        EXPECT_EQ(r.matches, want.size()) << what;
+                        if (kind != RequestKind::Count)
+                            expectSameSequence(r.recs, want,
+                                               what.c_str());
+
+                        // The sealed windows hold the full chunks,
+                        // dealt evenly: whole chunks, at most 1024
+                        // keys, sizes within one chunk of each
+                        // other. (The tail never seals on an idle
+                        // service; a walker takes the open window.)
+                        std::vector<u32> sizes;
+                        for (const auto &e : ring->snapshot())
+                            if (e.traceId == traceId &&
+                                e.point == obs::SpanPoint::WindowSeal)
+                                sizes.push_back(e.arg);
+                        EXPECT_EQ(sizes.size(),
+                                  expectedWindows(n - n % batch, batch,
+                                                  walkers))
+                            << what;
+                        u64 sum = 0;
+                        for (u32 sz : sizes) {
+                            EXPECT_EQ(sz % batch, 0u) << what;
+                            EXPECT_LE(sz, db::HashIndex::kMaxProbeBatch)
+                                << what;
+                            sum += sz;
+                        }
+                        EXPECT_EQ(sum, n - n % batch) << what;
+                        if (!sizes.empty()) {
+                            const auto [lo, hi] = std::minmax_element(
+                                sizes.begin(), sizes.end());
+                            EXPECT_LE(*hi - *lo, batch) << what;
+                        }
+                    }
+                }
+            }
+}
 
 TEST(IndexService, WrapsAnExistingIndex)
 {

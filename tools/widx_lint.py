@@ -14,10 +14,14 @@ Checks (names usable in suppressions):
                  poll itself; anything else stalls every connection.
 
   seqlock        Functions tagged `// widx-lint: seqlock-writer` must
-                 follow the writer protocol: first seq store publishes
-                 an odd value (`... + 1`, release), last publishes the
-                 matching even value (`... + 2`, release), and at
-                 least one relaxed payload store lands between them.
+                 follow the writer protocol: the first seq write
+                 publishes an odd value (`... + 1`), the last the
+                 matching even value (`... + 2`), both with release
+                 order, and at least one relaxed payload store lands
+                 between them. A seq write is a store, or a
+                 compare_exchange (its desired value and success
+                 order, which may be acq_rel) such as a writer that
+                 claims its slot from an older even value.
 
   padded         Struct types named `*Slot` or tagged
                  `// widx-lint: padded` must carry alignas(64) /
@@ -114,7 +118,8 @@ STRUCT_RE = re.compile(
 )
 
 STORE_RE = re.compile(r"([A-Za-z_]\w*(?:\s*\.\s*[A-Za-z_]\w*)*)"
-                      r"\s*\.\s*store\s*\(")
+                      r"\s*\.\s*(store|compare_exchange_weak"
+                      r"|compare_exchange_strong)\s*\(")
 
 PADDED_ALIGNMENTS = ("64", "kCacheBlockBytes")
 
@@ -388,7 +393,7 @@ class FileLint:
                           "seqlock-writer tag with no function "
                           "body following it")
                 continue
-            seq_stores = []   # (pos, first_arg, full_args)
+            seq_writes = []   # (pos, value, orders)
             payload = []      # (pos, args)
             body_off = region[0]
             body = self.masked[body_off:region[1]]
@@ -397,34 +402,42 @@ class FileLint:
                 open_pos = body.index("(", m.end() - 1)
                 close = match_paren(body, open_pos)
                 args = body[open_pos + 1:close - 1]
-                first_arg = args.split(",")[0].strip()
-                entry = (body_off + m.start(), first_arg, args)
+                pos = body_off + m.start()
                 leaf = obj.split(".")[-1].strip()
                 if "seq" in leaf.lower():
-                    seq_stores.append(entry)
-                else:
-                    payload.append((body_off + m.start(), args))
+                    # store(value, order) or
+                    # compare_exchange(expected, desired, success, ...)
+                    parts = [p.strip() for p in args.split(",")]
+                    parts += [""] * 3
+                    if m.group(2) == "store":
+                        seq_writes.append((pos, parts[0], args))
+                    else:
+                        seq_writes.append((pos, parts[1], parts[2]))
+                elif m.group(2) == "store":
+                    payload.append((pos, args))
             fn_line = line_of(self.starts, body_off)
-            if len(seq_stores) < 2:
+            if len(seq_writes) < 2:
                 self._add(fn_line, "seqlock",
-                          "writer section needs two seq stores "
+                          "writer section needs two seq writes "
                           "(odd begin, even end); found %d"
-                          % len(seq_stores))
+                          % len(seq_writes))
                 continue
-            first, last = seq_stores[0], seq_stores[-1]
+            first, last = seq_writes[0], seq_writes[-1]
             if not re.search(r"\+\s*1$", first[1]):
                 self._add(line_of(self.starts, first[0]), "seqlock",
-                          "first seq store must publish an odd "
+                          "first seq write must publish an odd "
                           "value (expression ending `+ 1`)")
             if not re.search(r"\+\s*2$", last[1]):
                 self._add(line_of(self.starts, last[0]), "seqlock",
-                          "final seq store must publish the even "
+                          "final seq write must publish the even "
                           "value (expression ending `+ 2`)")
-            for pos, _arg, args in (first, last):
-                if "memory_order_release" not in args:
+            for pos, _value, orders in (first, last):
+                if "memory_order_release" not in orders and \
+                        "memory_order_acq_rel" not in orders:
                     self._add(line_of(self.starts, pos), "seqlock",
-                              "seq stores must use "
-                              "memory_order_release")
+                              "seq writes must use "
+                              "memory_order_release (or acq_rel "
+                              "on a compare_exchange)")
             inner = [p for p in payload
                      if first[0] < p[0] < last[0]
                      and "memory_order_relaxed" in p[1]]
