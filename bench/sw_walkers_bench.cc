@@ -4,11 +4,11 @@
  * (Section 7's "insights applicable elsewhere", and the AMAC line
  * of work this paper seeded).
  *
- * On a DRAM-resident index the interleaved probers (group prefetch,
- * AMAC) overlap cache misses across probes — the same inter-key
- * parallelism Widx exploits with hardware walkers — and beat the
- * scalar Listing 1 loop by integer factors on real hardware. The
- * multi-walker (K-thread) rows live in service_bench.
+ * On a DRAM-resident index the interleaved AMAC prober overlaps
+ * cache misses across probes — the same inter-key parallelism Widx
+ * exploits with hardware walkers — and beats the scalar Listing 1
+ * loop by integer factors on real hardware. The multi-walker
+ * (K-thread) rows live in service_bench.
  *
  * Every prober is measured in pipeline variants: inline vs batched
  * dispatch (arg "batch": 0 = hash each key right before its walk,
@@ -116,27 +116,6 @@ BENCHMARK(BM_Scalar)
     ->Args({1, 0, 1})  // tagged layout, inline schedule
     ->Args({1, 64, 0}) // batched dispatch, no tags
     ->Args({1, 64, 1}); // full pipeline
-
-// Args: group size, tag. (The group is the dispatcher batch.)
-static void
-BM_GroupPrefetch(benchmark::State &state)
-{
-    Dataset &d = large();
-    sw::PipelineConfig cfg{.tagged = state.range(1) != 0};
-    sw::GroupPrefetchProber prober(*d.index,
-                                   unsigned(state.range(0)), cfg);
-    u64 matches = 0;
-    for (auto _ : state)
-        matches = prober.probeAll(d.keys);
-    reportTuples(state, d.keys, matches);
-}
-BENCHMARK(BM_GroupPrefetch)
-    ->ArgNames({"G", "tag"})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({32, 1});
 
 // Args: width, batch, tag.
 static void

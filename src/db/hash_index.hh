@@ -305,8 +305,8 @@ class HashIndex
 
     /** Dispatcher prefetch sweep: for each hash, prefetch the key's
      *  first dependent line — its tag byte when the filter is on,
-     *  its bucket header otherwise. Shared by probeBatch, the
-     *  walkers' HashedWindow, and the group-prefetch prober. */
+     *  its bucket header otherwise. Shared by probeBatch and the
+     *  walkers' HashedWindow. */
     void
     prefetchStage(const u64 *hashes, std::size_t n,
                   bool tagged) const

@@ -133,9 +133,11 @@ probeAll(sw::IndexService &service, const Column &probe_keys,
     // requests through one CompletionQueue instead of a single
     // blocking call, so every walker has work from the first slice
     // on while later slices are still being admitted. Slices are
-    // position-contiguous, so reassembling them in slice order with
-    // a base offset reproduces the single-request record sequence
-    // byte-for-byte.
+    // position-contiguous, so appending them in slice order with a
+    // base offset reproduces the single-request record sequence
+    // byte-for-byte. Each slice appends as soon as every slice
+    // before it has, so the replay overlaps the walkers' work on
+    // later slices instead of following the last one.
     //
     // The fan-out must honor bounded admission, not defeat it. The
     // old blocking path submitted one whole request, which the
@@ -165,8 +167,12 @@ probeAll(sw::IndexService &service, const Column &probe_keys,
             s * kSlice, std::min(kSlice, keys.size() - s * kSlice));
     };
 
+    if (materialize)
+        result.pairs.reserve(result.probes);
     std::vector<std::vector<sw::MatchRec>> bySlice(
         materialize ? nSlices : 0);
+    std::vector<char> landed(bySlice.size(), 0);
+    std::size_t appended = 0; ///< slices [0, appended) are in pairs
     std::size_t submitted = 0;
     std::size_t inFlight = 0;
     std::size_t completed = 0;
@@ -204,8 +210,18 @@ probeAll(sw::IndexService &service, const Column &probe_keys,
             }
             progressed = true;
             result.matches += c.result.matches;
-            if (materialize)
+            if (materialize) {
                 bySlice[c.tag] = std::move(c.result.recs);
+                landed[c.tag] = 1;
+            }
+        }
+        for (; result.status == sw::Status::Ok &&
+               appended < landed.size() && landed[appended];
+             ++appended) {
+            for (const sw::MatchRec &rec : bySlice[appended])
+                result.pairs.push_back(
+                    {rec.payload, RowId(appended * kSlice + rec.i)});
+            bySlice[appended] = {};
         }
         if (!shed.empty()) {
             if (result.status != sw::Status::Ok) {
@@ -229,13 +245,8 @@ probeAll(sw::IndexService &service, const Column &probe_keys,
         }
     }
 
-    if (materialize && result.status == sw::Status::Ok) {
-        result.pairs.reserve(result.matches);
-        for (std::size_t s = 0; s < nSlices; ++s)
-            for (const sw::MatchRec &rec : bySlice[s])
-                result.pairs.push_back(
-                    {rec.payload, RowId(s * kSlice + rec.i)});
-    }
+    if (result.status != sw::Status::Ok)
+        result.pairs = {};
     result.probeSeconds = secondsSince(start);
     return result;
 }

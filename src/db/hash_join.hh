@@ -86,14 +86,17 @@ JoinResult probeAll(const HashIndex &index, const Column &probe_keys,
  * Probe through a long-lived sw::IndexService: the column's keys
  * fan out as sliced async requests served by the service's parked
  * walkers (and shards), so repeated calls pay no per-call thread
- * spawn. The emitted pair sequence is byte-identical to the
+ * spawn. Pairs stream into JoinResult::pairs in slice order: each
+ * slice appends as soon as every slice before it has, while the
+ * walkers still drain later slices, and its records are freed as
+ * it appends. The pair sequence is byte-identical to the
  * single-threaded probeBatch path. Bounded admission is honored,
  * not bypassed: the fan-out keeps a limited number of slices in
  * flight and resubmits slices the service sheds (Status::Rejected),
  * so a bounded or adaptive admission budget backpressures this
  * caller instead of silently dropping part of the join. Check
- * JoinResult::status — non-Ok (service stopped mid-run, deadline)
- * means the join is partial.
+ * JoinResult::status: non-Ok (service stopped mid-run, deadline)
+ * means the join did not complete, and pairs is left empty.
  */
 JoinResult probeAll(sw::IndexService &service,
                     const Column &probe_keys,

@@ -172,10 +172,13 @@ struct ServiceRequest
             // Mutations report their applied-key tally through the
             // same field the count path uses; they never carry recs.
             r.matches = count.load(std::memory_order_relaxed);
+        } else if (perSlot.size() == 1) {
+            // One merge slot is already the whole result.
+            r.recs = std::move(perSlot[0]);
+            r.matches = r.recs.size();
         } else {
-            // Segments are position-contiguous and each is sorted
-            // by position, so concatenation is already probeBatch
-            // order.
+            // Segments are position-contiguous and each slot is in
+            // probeBatch order, so concatenation is the result.
             std::size_t total = 0;
             for (const auto &c : perSlot)
                 total += c.size();
@@ -752,6 +755,8 @@ IndexService::walkerMain(unsigned w)
         eslot = epochs->acquireSlot();
     }
     u64 drainedWindows = 0;
+    // Drain scratch, reused across windows (see drainWindow).
+    std::vector<MatchRec> found;
     for (;;) {
         // Fault injection (compiled out by default): delay a walker
         // between wake-up and claim so tests can race submissions
@@ -772,7 +777,6 @@ IndexService::walkerMain(unsigned w)
                 return;
             }
         }
-        nWindows_.fetch_add(1, std::memory_order_relaxed);
         if (win.segs.size() > 1)
             nCoalesced_.fetch_add(1, std::memory_order_relaxed);
         wobs_[w].windows.fetch_add(1, std::memory_order_relaxed);
@@ -795,7 +799,7 @@ IndexService::walkerMain(unsigned w)
             perf->start();
         if (epochs)
             epochs->pin(eslot);
-        processWindow(win);
+        processWindow(win, found);
         if (epochs)
             epochs->unpin(eslot);
         if (sampleHw) {
@@ -906,7 +910,7 @@ IndexService::claim(Window &win)
 }
 
 void
-IndexService::processWindow(Window &win)
+IndexService::processWindow(Window &win, std::vector<MatchRec> &found)
 {
     // Queue-wait ends here: one clock read per window, CASed into
     // each distinct request's first-drain slot (only the first
@@ -964,39 +968,37 @@ IndexService::processWindow(Window &win)
     // drain against the flat HashIndex — no per-key shard resolve,
     // and the AVX2 tag filter applies.
     if (const db::HashIndex *flat = index_.flatIndex())
-        drainWindow(*flat, win);
+        drainWindow(*flat, win, found);
     else
-        drainWindow(index_, win);
+        drainWindow(index_, win, found);
 }
 
 template <typename Index>
 void
-IndexService::drainWindow(const Index &idx, Window &win)
+IndexService::drainWindow(const Index &idx, Window &win,
+                          std::vector<MatchRec> &found)
 {
-    // Window ordinal -> owning segment and request-relative key
-    // position.
-    struct Ref
-    {
-        u32 seg;
-        std::size_t pos;
-    };
-    u64 wkeys[db::HashIndex::kMaxProbeBatch];
-    u64 hashes[db::HashIndex::kMaxProbeBatch];
-    Ref refs[db::HashIndex::kMaxProbeBatch];
+    constexpr std::size_t kMax = db::HashIndex::kMaxProbeBatch;
+    u64 wkeys[kMax];
+    u64 hashes[kMax];
+    u32 segOf[kMax]; ///< window ordinal -> owning segment
+    u64 hits[kMax];  ///< matches per ordinal, then write cursors
 
     // Dispatcher stage, run by the draining walker on its own core:
     // gather the window's segments and vector-hash each one.
     std::size_t off = 0;
+    bool materialize = false;
     for (std::size_t s = 0; s < win.segs.size(); ++s) {
         const Segment &seg = win.segs[s];
         const std::span<const u64> keys =
             seg.req->keys.subspan(seg.base, seg.len);
         std::copy(keys.begin(), keys.end(), wkeys + off);
         idx.hashBatch(keys, {hashes + off, keys.size()});
-        for (u32 j = 0; j < seg.len; ++j)
-            refs[off + j] = Ref{u32(s), seg.base + j};
+        std::fill_n(segOf + off, seg.len, u32(s));
+        materialize |= seg.req->kind != RequestKind::Count;
         off += seg.len;
     }
+    std::fill_n(hits, off, 0);
 
     // Slow this drain down (compiled out by default): models a
     // walker losing its core or hitting pathological memory — the
@@ -1017,48 +1019,71 @@ IndexService::drainWindow(const Index &idx, Window &win)
         nUntagged_.fetch_add(1, std::memory_order_relaxed) % 32 ==
             0)
         tagged = true;
-    u64 bits[db::HashIndex::kMaxProbeBatch / 64];
+    u64 bits[kMax / 64];
     if (tagged)
         tagFilterAndPrefetch(idx, hashes, off, bits);
     else
         idx.prefetchStage(hashes, off, false);
 
-    // Drain through the AMAC ring; records land in per-segment
-    // scratch tagged with request-relative positions.
-    std::vector<std::vector<MatchRec>> seg_recs(win.segs.size());
-    std::vector<u64> seg_count(win.segs.size(), 0);
+    // Drain through the AMAC ring. Every match bumps its ordinal's
+    // count; a window holding a Probe or Join segment also keeps
+    // the record, by ordinal, in emission order.
+    found.clear();
     auto sink = [&](std::size_t o, u64 key, u64 payload) {
-        const Ref r = refs[o];
-        if (win.segs[r.seg].req->kind == RequestKind::Count)
-            ++seg_count[r.seg];
-        else
-            seg_recs[r.seg].push_back({r.pos, key, payload});
+        ++hits[o];
+        if (materialize)
+            found.push_back({o, key, payload});
     };
     HashedChunkStream stream(wkeys, hashes, off,
                              tagged ? bits : nullptr);
     amacDrain(idx, stream, width_, false, sink);
 
-    // Retire each segment: records sort back into probeBatch order
-    // (stable on key position — the drain interleaves across keys
-    // but emits each key's matches in chain order), land in the
-    // request's merge slot, and the last segment to retire
-    // assembles and publishes the result.
+    // Counting placement. A segment's ordinals are contiguous and
+    // its records fill its merge slot densely in key order, so a
+    // prefix sum over the segment's counts turns each into its
+    // key's first write cursor (and the total is a Count segment's
+    // tally), and one pass over the scratch drops every record at
+    // its place. The drain emits each key's matches in chain order,
+    // so the slot is exactly probeBatch's sequence.
+    struct Dest
+    {
+        MatchRec *recs;    ///< the segment's merge slot; null = Count
+        std::size_t first; ///< the segment's first window ordinal
+        std::size_t base;  ///< its first request-relative position
+    };
+    Dest dest[kMax];
+    std::size_t first = 0;
     for (std::size_t s = 0; s < win.segs.size(); ++s) {
-        Segment &seg = win.segs[s];
+        const Segment &seg = win.segs[s];
         detail::ServiceRequest &req = *seg.req;
-        if (req.kind == RequestKind::Count) {
-            req.count.fetch_add(seg_count[s],
-                                std::memory_order_relaxed);
-        } else {
-            std::stable_sort(seg_recs[s].begin(), seg_recs[s].end(),
-                             [](const MatchRec &a,
-                                const MatchRec &b) {
-                                 return a.i < b.i;
-                             });
-            req.perSlot[seg.slot] = std::move(seg_recs[s]);
+        u64 at = 0;
+        for (std::size_t o = first; o < first + seg.len; ++o) {
+            const u64 h = hits[o];
+            hits[o] = at;
+            at += h;
         }
-        retireSegment(seg);
+        MatchRec *recs = nullptr;
+        if (req.kind == RequestKind::Count) {
+            req.count.fetch_add(at, std::memory_order_relaxed);
+        } else {
+            std::vector<MatchRec> &slot = req.perSlot[seg.slot];
+            slot.resize(at);
+            recs = slot.data();
+        }
+        dest[s] = {recs, first, seg.base};
+        first += seg.len;
     }
+    for (const MatchRec &r : found) {
+        const Dest &d = dest[segOf[r.i]];
+        if (d.recs)
+            d.recs[hits[r.i]++] = {r.i - d.first + d.base, r.key,
+                                   r.payload};
+    }
+
+    // The last segment of a request to retire assembles and
+    // publishes its result.
+    for (const Segment &seg : win.segs)
+        retireSegment(seg);
 }
 
 ServiceStats
@@ -1067,7 +1092,7 @@ IndexService::stats() const
     ServiceStats s;
     s.requests = nRequests_.load(std::memory_order_relaxed);
     s.keys = nKeys_.load(std::memory_order_relaxed);
-    s.windows = nWindows_.load(std::memory_order_relaxed);
+    s.windows = windowsDrained();
     s.coalescedWindows = nCoalesced_.load(std::memory_order_relaxed);
     s.completedOk = nCompletedOk_.load(std::memory_order_relaxed);
     s.rejected = nRejected_.load(std::memory_order_relaxed);
@@ -1098,6 +1123,15 @@ IndexService::stats() const
         }
     }
     return s;
+}
+
+u64
+IndexService::windowsDrained() const
+{
+    u64 n = 0;
+    for (unsigned w = 0; w < walkers(); ++w)
+        n += wobs_[w].windows.load(std::memory_order_relaxed);
+    return n;
 }
 
 void
@@ -1167,7 +1201,7 @@ IndexService::collectMetrics(obs::Snapshot &out) const
             rel(nRequests_));
     counter("widx_service_keys_total", "Keys submitted", rel(nKeys_));
     counter("widx_service_windows_total", "Dispatch windows drained",
-            rel(nWindows_));
+            windowsDrained());
     counter("widx_service_windows_coalesced_total",
             "Windows spanning more than one request tail",
             rel(nCoalesced_));

@@ -59,13 +59,15 @@
  *    watchdog reports walkers stuck inside one window drain. See
  *    src/service/README.md ("Overload and failure handling").
  *
- *  - **Determinism.** A window is drained by exactly one walker;
- *    its per-segment records are stable-sorted by key position
- *    (preserving per-key chain order) and merged by (request,
- *    slot) id, making every request's result sequence
- *    byte-identical to a single-threaded HashIndex::probeBatch over
- *    its keys, independent of walker count, shard count,
- *    coalescing, and thread timing.
+ *  - **Determinism.** A window is drained by exactly one walker,
+ *    which places each segment's records by counting, with no
+ *    sort: it counts every key's matches during the drain, prefix-
+ *    sums the counts into write cursors, and drops each record at
+ *    its key's cursor in emission order (per-key chain order).
+ *    Segments merge by (request, slot) id, so every request's
+ *    result sequence is byte-identical to a single-threaded
+ *    HashIndex::probeBatch over its keys, independent of walker
+ *    count, shard count, coalescing, and thread timing.
  *
  * See src/service/README.md for the architecture write-up.
  */
@@ -585,9 +587,14 @@ class IndexService
     void finishRequest(detail::ServiceRequest &req);
     /** Pop the next window: sealed first, else the open one. */
     bool claim(Window &win) WIDX_REQUIRES(m_);
-    void processWindow(Window &win);
+    /** Drain one claimed window. `found` is the calling walker's
+     *  record scratch, reused across its windows. */
+    void processWindow(Window &win, std::vector<MatchRec> &found);
     template <typename Index>
-    void drainWindow(const Index &idx, Window &win);
+    void drainWindow(const Index &idx, Window &win,
+                     std::vector<MatchRec> &found);
+    /** Windows drained, summed over the per-walker counters. */
+    u64 windowsDrained() const;
 
     ShardedIndex index_;
     ServiceConfig cfg_;
@@ -655,7 +662,6 @@ class IndexService
 
     std::atomic<u64> nRequests_{0};
     std::atomic<u64> nKeys_{0};
-    std::atomic<u64> nWindows_{0};
     std::atomic<u64> nCoalesced_{0};
     std::atomic<u64> nCompletedOk_{0};
     std::atomic<u64> nRejected_{0};

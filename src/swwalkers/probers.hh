@@ -12,10 +12,6 @@
  *  - ScalarProber: the Listing 1 baseline, either inline (hash one
  *    key, walk one bucket) or batched through the shared
  *    HashIndex::probeBatch pipeline.
- *  - GroupPrefetchProber: process keys in groups; batch-hash and
- *    prefetch all G buckets, then advance all G walks one node at a
- *    time, prefetching each next node (Chen et al., group
- *    prefetching).
  *  - AmacProber: asynchronous memory access chaining — a ring of W
  *    probe state machines; each visit advances one machine one stage
  *    and issues the next prefetch (Kocberber et al., AMAC — the
@@ -266,104 +262,6 @@ class ScalarProber
 
   private:
     const db::HashIndex &index_;
-    PipelineConfig cfg_;
-};
-
-/** Group prefetching with a runtime group size. The group is also
- *  the dispatcher batch — keys are hashed and prefetched a group at
- *  a time — so PipelineConfig::batch is ignored here; only the
- *  tagged knob applies. */
-class GroupPrefetchProber
-{
-  public:
-    GroupPrefetchProber(const db::HashIndex &index, unsigned group,
-                        PipelineConfig cfg = {})
-        : index_(index), group_(group), cfg_(cfg)
-    {
-        fatal_if(group_ == 0, "group size must be nonzero");
-        fatal_if(group_ > db::HashIndex::kMaxProbeBatch,
-                 "group size exceeds the pipeline batch cap");
-    }
-
-    template <typename Sink>
-    u64
-    probeAll(std::span<const u64> keys, Sink &&sink) const
-    {
-        using Node = db::HashIndex::Node;
-        u64 matches = 0;
-        std::array<u64, db::HashIndex::kMaxProbeBatch> hashes;
-        std::array<const Node *, db::HashIndex::kMaxProbeBatch>
-            cursor;
-
-        for (std::size_t base = 0; base < keys.size();
-             base += group_) {
-            const std::size_t g =
-                std::min<std::size_t>(group_, keys.size() - base);
-            const std::span<const u64> chunk =
-                keys.subspan(base, g);
-
-            // Stage 1 (dispatcher): batch-hash the group and
-            // prefetch each key's first dependent line.
-            index_.hashBatch(chunk, {hashes.data(), g});
-            index_.prefetchStage(hashes.data(), g, cfg_.tagged);
-
-            // Stage 2: tag-check each walk; survivors prefetch
-            // their bucket header and arm a cursor. (Untagged
-            // headers were already prefetched by stage 1.)
-            for (std::size_t i = 0; i < g; ++i) {
-                const u64 bidx = index_.bucketIndexOf(hashes[i]);
-                if (cfg_.tagged &&
-                    !index_.tagMayMatch(bidx, hashes[i])) {
-                    cursor[i] = nullptr;
-                    continue;
-                }
-                const db::HashIndex::Bucket &b =
-                    index_.bucketAt(bidx);
-                cursor[i] = &b.head;
-                if (cfg_.tagged)
-                    prefetch(&b.head);
-            }
-
-            // Stage 3+: advance every live walk one node per sweep,
-            // prefetching the next node before moving on (the
-            // parallel walkers' MLP, time-multiplexed on one core).
-            std::size_t live = g;
-            while (live > 0) {
-                live = 0;
-                for (std::size_t i = 0; i < g; ++i) {
-                    const Node *n = cursor[i];
-                    if (!n)
-                        continue;
-                    const u64 key = chunk[i];
-                    if (index_.nodeKey(*n) == key) {
-                        ++matches;
-                        sink(base + i, key,
-                             index_.nodePayload(*n));
-                    }
-                    // widx-lint: epoch-guard -- accessor-routed so
-                    // the step is a clean acquire even when this
-                    // prober is pointed at a live index.
-                    const Node *nx = index_.nodeNext(*n);
-                    cursor[i] = nx;
-                    if (nx) {
-                        prefetch(nx);
-                        ++live;
-                    }
-                }
-            }
-        }
-        return matches;
-    }
-
-    u64
-    probeAll(std::span<const u64> keys) const
-    {
-        return probeAll(keys, NullSink{});
-    }
-
-  private:
-    const db::HashIndex &index_;
-    unsigned group_;
     PipelineConfig cfg_;
 };
 

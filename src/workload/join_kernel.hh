@@ -62,39 +62,6 @@ struct KernelDataset
     }
 };
 
-/** Software probe schedule for runKernelProbes. */
-enum class ProbeSchedule
-{
-    Scalar,        ///< Listing 1 (inline hash, no batching)
-    BatchedScalar, ///< shared batch pipeline, sequential walks
-    GroupPrefetch, ///< Chen et al. group prefetching
-    Amac,          ///< asynchronous memory access chaining
-};
-
-const char *probeScheduleName(ProbeSchedule sched);
-
-/**
- * Run the kernel's sampled probes through a software walker
- * schedule, materializing {key, payload} pairs into the dataset's
- * results region (the producer unit's role — emission through the
- * inlined sink, no allocation on the probe path).
- *
- * @param width in-flight walks (AMAC) or group size.
- * @param tagged use the one-byte tag filter.
- * @param walkers walker threads; > 1 runs the probes through
- *        db::probeAll on a scoped sw::IndexService (K persistent
- *        walker threads draining coalesced dispatch windows) with
- *        the merged matches written to the results region on the
- *        calling thread in probeBatch order. Only AMAC has a walker
- *        engine: sched must be Amac (anything else is fatal, so a
- *        schedule sweep can't silently measure AMAC under another
- *        schedule's name).
- * @return number of matches written.
- */
-u64 runKernelProbes(const KernelDataset &data, ProbeSchedule sched,
-                    unsigned width = 8, bool tagged = true,
-                    unsigned walkers = 1);
-
 } // namespace widx::wl
 
 #endif // WIDX_WORKLOAD_JOIN_KERNEL_HH

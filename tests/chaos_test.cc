@@ -28,6 +28,7 @@
 #include "common/arena.hh"
 #include "common/failpoint.hh"
 #include "common/rng.hh"
+#include "db/hash_join.hh"
 #include "service/index_service.hh"
 #include "workload/distributions.hh"
 
@@ -295,6 +296,42 @@ TEST_F(ChaosTest, SlowDrainAndDelayedClaimNeverChangeResults)
                            "slow-drain request");
     }
     EXPECT_GT(fp::hits("service.slow_drain"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// probeAll under out-of-order completion: later slices finish first,
+// pairs still come out in slice order
+// ---------------------------------------------------------------------------
+
+TEST_F(ChaosTest, ProbeAllStreamsSlicesInOrderWhenLaterOnesFinishFirst)
+{
+    Dataset d(4000, 40000, 29);
+    db::Column probe("p", db::ValueKind::U64, d.arena, d.keys.size());
+    for (u64 k : d.keys)
+        probe.push(k);
+    const db::JoinResult want = db::probeAll(*d.flat, probe, true);
+
+    ServiceConfig cfg;
+    cfg.walkers = 2;
+    IndexService service(*d.flat, cfg);
+
+    // Slow the first claimed window, one of slice 0's: the other
+    // walker drains the remaining nine 4096-key slices meanwhile, so
+    // they complete before slice 0 does.
+    const u64 hitsBefore = fp::hits("service.slow_drain");
+    fp::arm("service.slow_drain", 1, 100'000'000);
+    const db::JoinResult got = db::probeAll(service, probe, true);
+    EXPECT_EQ(fp::hits("service.slow_drain") - hitsBefore, 1u);
+
+    ASSERT_EQ(got.status, Status::Ok);
+    EXPECT_EQ(got.matches, want.matches);
+    ASSERT_EQ(got.pairs.size(), want.pairs.size());
+    for (std::size_t i = 0; i < want.pairs.size(); ++i) {
+        ASSERT_EQ(got.pairs[i].buildRow, want.pairs[i].buildRow)
+            << "pair " << i;
+        ASSERT_EQ(got.pairs[i].probeRow, want.pairs[i].probeRow)
+            << "pair " << i;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -530,6 +532,150 @@ TEST(IndexService, CoalescingOffNeverSharesWindows)
         const ServiceStats stats = service.stats();
         EXPECT_EQ(stats.coalescedWindows, 0u) << shards << " shards";
     }
+}
+
+// ---------------------------------------------------------------------------
+// Counting placement: records land at their key's cursor in the merge
+// slot, for every kind and segment offset
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** A flat index where key k has k % 4 + 1 entries, so every matched
+ *  key places a run of records; keys from kDistinct up match
+ *  nothing. */
+struct ChainDataset
+{
+    static constexpr u64 kDistinct = 1000;
+
+    Arena arena;
+    db::Column build{"b", db::ValueKind::U64, arena, 2500};
+    db::IndexSpec spec;
+    std::unique_ptr<db::HashIndex> flat;
+
+    ChainDataset()
+    {
+        for (u64 k = 0; k < kDistinct; ++k)
+            for (u64 c = 0; c <= k % 4; ++c)
+                build.push(k);
+        spec.buckets = 512;
+        flat = std::make_unique<db::HashIndex>(spec, arena);
+        flat->buildFromColumn(build);
+    }
+};
+
+/** Check one result against the reference for its kind. */
+void
+expectResult(RequestKind kind, ServiceResult &&got,
+             const std::vector<MatchRec> &want, const char *what)
+{
+    EXPECT_EQ(got.status, Status::Ok) << what;
+    EXPECT_EQ(got.matches, want.size()) << what;
+    if (kind == RequestKind::Count)
+        EXPECT_TRUE(got.recs.empty()) << what;
+    else
+        expectSameSequence(got.recs, want, what);
+}
+
+} // namespace
+
+TEST(IndexService, CoalescedWindowsPlaceEveryKindExactly)
+{
+    ChainDataset d;
+    Rng rng(43);
+    const std::vector<u64> present =
+        wl::uniformKeys(7 * 200, ChainDataset::kDistinct, rng);
+    std::vector<u64> absent(7);
+    for (u64 i = 0; i < absent.size(); ++i)
+        absent[i] = ChainDataset::kDistinct + i;
+    ASSERT_TRUE(refSequence(*d.flat, absent).empty());
+
+    const RequestKind kinds[3] = {RequestKind::Count,
+                                  RequestKind::Probe,
+                                  RequestKind::Join};
+    for (unsigned shards : {1u, 4u}) {
+        ServiceConfig cfg;
+        cfg.shards = shards;
+        cfg.walkers = 1;
+        cfg.pipeline.batch = 64;
+        auto ring = std::make_shared<obs::TraceRing>(4096);
+        cfg.trace = ring;
+        IndexService service(d.build, d.spec, cfg);
+
+        // The setup of CoalescesSmallRequestsIntoSharedWindows, with
+        // the busy walker made deterministic: park the lone walker in
+        // a completion callback until every 7-key tail below is
+        // queued, so the tails coalesce nine to a 64-key window.
+        // Kinds cycle through Count, Probe and Join, and every fifth
+        // tail matches nothing, so each window mixes all three kinds
+        // and empty segments.
+        std::promise<void> parked, release;
+        std::shared_future<void> released = release.get_future().share();
+        service.submitAsync(RequestKind::Count, {present.data(), 1}, {},
+                            [&parked, released](ServiceResult &&) {
+                                parked.set_value();
+                                released.wait();
+                            });
+        parked.get_future().wait();
+        std::vector<ResultTicket> tickets;
+        std::vector<std::span<const u64>> spans;
+        for (std::size_t t = 0; t < 200; ++t) {
+            spans.push_back(t % 5 == 4
+                                ? std::span<const u64>(absent)
+                                : std::span<const u64>(present)
+                                      .subspan(7 * t, 7));
+            SubmitOptions opt;
+            opt.traceId = t + 1;
+            tickets.push_back(
+                service.submit(kinds[t % 3], spans.back(), opt));
+        }
+        release.set_value();
+        for (std::size_t t = 0; t < tickets.size(); ++t)
+            expectResult(kinds[t % 3], tickets[t].get(),
+                         refSequence(*d.flat, spans[t]),
+                         "coalesced tail");
+
+        // Every sealed window held all three kinds. One seal stamps
+        // all of its traced segments with the same clock read.
+        std::map<u64, unsigned> kindsAt;
+        for (const auto &e : ring->snapshot())
+            if (e.point == obs::SpanPoint::WindowSeal)
+                kindsAt[e.tsNs] |= 1u << ((e.traceId - 1) % 3);
+        EXPECT_FALSE(kindsAt.empty()) << shards << " shards";
+        for (const auto &[ts, mask] : kindsAt)
+            EXPECT_EQ(mask, 7u) << shards << " shards";
+        EXPECT_GT(service.stats().coalescedWindows, 0u)
+            << shards << " shards";
+    }
+}
+
+TEST(IndexService, MultiWindowProbesPlaceDuplicateChainsExactly)
+{
+    ChainDataset d;
+    Rng rng(47);
+    std::vector<u64> keys =
+        wl::uniformKeys(1025, ChainDataset::kDistinct + 100, rng);
+    for (unsigned shards : {1u, 4u})
+        for (unsigned walkers : {1u, 3u}) {
+            ServiceConfig cfg;
+            cfg.shards = shards;
+            cfg.walkers = walkers;
+            cfg.pipeline.batch = 64;
+            IndexService service(d.build, d.spec, cfg);
+            for (std::size_t n : {std::size_t(1023), std::size_t(1025)}) {
+                const std::span<const u64> span(keys.data(), n);
+                const auto want = refSequence(*d.flat, span);
+                const std::string what =
+                    "shards " + std::to_string(shards) + " walkers " +
+                    std::to_string(walkers) + " keys " +
+                    std::to_string(n);
+                for (RequestKind kind :
+                     {RequestKind::Probe, RequestKind::Join,
+                      RequestKind::Count})
+                    expectResult(kind, service.submit(kind, span).get(),
+                                 want, what.c_str());
+            }
+        }
 }
 
 // ---------------------------------------------------------------------------

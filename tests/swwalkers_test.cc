@@ -3,16 +3,13 @@
  * Tests for the software walkers: every prober and every pipeline
  * variant (inline vs batched dispatch, tagged vs untagged buckets)
  * must produce the exact match multiset of the scalar reference,
- * across widths, group sizes, layouts (direct and indirect keys),
- * and key distributions (uniform and Zipf-skewed), via a
- * parameterized property suite. The kernel runner's multi-walker
- * path (a scoped IndexService) must write the single-threaded
- * results region byte for byte.
+ * across widths, layouts (direct and indirect keys), and key
+ * distributions (uniform and Zipf-skewed), via a parameterized
+ * property suite.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -20,7 +17,6 @@
 #include "common/rng.hh"
 #include "swwalkers/probers.hh"
 #include "workload/distributions.hh"
-#include "workload/join_kernel.hh"
 
 using namespace widx;
 using namespace widx::sw;
@@ -116,8 +112,6 @@ TEST_P(ProberEquivalence, AllSchedulesAgreeWithScalar)
     };
 
     check(ScalarProber(*d.index, cfg), "scalar");
-    check(GroupPrefetchProber(*d.index, c.width, cfg),
-          "group-prefetch");
     check(AmacProber(*d.index, c.width, cfg), "amac");
 }
 
@@ -146,7 +140,6 @@ TEST(Probers, EmptyKeySetYieldsNoMatches)
     Dataset d(100, 0, false, 0.0, 1);
     EXPECT_EQ(ScalarProber(*d.index).probeAll(d.keys), 0u);
     EXPECT_EQ(AmacProber(*d.index, 4).probeAll(d.keys), 0u);
-    EXPECT_EQ(GroupPrefetchProber(*d.index, 4).probeAll(d.keys), 0u);
 }
 
 TEST(Probers, WidthLargerThanKeyCount)
@@ -154,8 +147,6 @@ TEST(Probers, WidthLargerThanKeyCount)
     Dataset d(64, 3, false, 0.0, 2);
     const u64 ref = ScalarProber(*d.index).probeAll(d.keys);
     EXPECT_EQ(AmacProber(*d.index, 32).probeAll(d.keys), ref);
-    EXPECT_EQ(GroupPrefetchProber(*d.index, 32).probeAll(d.keys),
-              ref);
 }
 
 TEST(Probers, MissingKeysProduceNoMatches)
@@ -175,45 +166,5 @@ TEST(Probers, MissingKeysProduceNoMatches)
         PipelineConfig cfg{.batch = 64, .tagged = tagged};
         EXPECT_EQ(ScalarProber(idx, cfg).probeAll(misses), 0u);
         EXPECT_EQ(AmacProber(idx, 4, cfg).probeAll(misses), 0u);
-        EXPECT_EQ(GroupPrefetchProber(idx, 8, cfg).probeAll(misses),
-                  0u);
-    }
-}
-
-TEST(Probers, KernelScheduleRunnerAgreesAcrossSchedules)
-{
-    wl::KernelDataset data(wl::KernelSize::small(), 7);
-    const u64 ref = wl::runKernelProbes(
-        data, wl::ProbeSchedule::Scalar, 8, false);
-    for (auto sched : {wl::ProbeSchedule::Scalar,
-                       wl::ProbeSchedule::BatchedScalar,
-                       wl::ProbeSchedule::GroupPrefetch,
-                       wl::ProbeSchedule::Amac})
-        for (bool tagged : {false, true})
-            EXPECT_EQ(wl::runKernelProbes(data, sched, 8, tagged),
-                      ref)
-                << wl::probeScheduleName(sched);
-}
-
-/** walkers > 1 runs the AMAC schedule through db::probeAll on a
- *  scoped IndexService; the results region must hold exactly the
- *  {key, payload} words the single-threaded batched pipeline writes
- *  (probeBatch order), at every walker count. */
-TEST(Probers, KernelRunnerRidesTheService)
-{
-    wl::KernelDataset data(wl::KernelSize::small(), 7);
-    const u64 ref = wl::runKernelProbes(
-        data, wl::ProbeSchedule::BatchedScalar, 8, true);
-    const std::vector<u64> want(data.outRegion,
-                                data.outRegion + 2 * ref);
-    for (unsigned walkers : {2u, 4u}) {
-        std::fill(data.outRegion, data.outRegion + 2 * ref, 0);
-        EXPECT_EQ(wl::runKernelProbes(data, wl::ProbeSchedule::Amac,
-                                      8, true, walkers),
-                  ref)
-            << walkers << " walkers";
-        EXPECT_TRUE(std::equal(want.begin(), want.end(),
-                               data.outRegion))
-            << walkers << " walkers";
     }
 }
