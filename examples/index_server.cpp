@@ -122,7 +122,6 @@ main(int argc, char **argv)
     sw::ServiceConfig cfg;
     cfg.shards = 4;
     cfg.walkers = 4;
-    cfg.pipeline.adaptiveTags = true;
     cfg.numa = sw::NumaPolicy::NodeBound;
     // Observability: hardware-counter sampling every 32nd window
     // (degrades to zeros where perf is denied) and a span-trace

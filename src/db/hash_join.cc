@@ -73,7 +73,6 @@ probeAll(const HashIndex &index, const Column &probe_keys,
     if (materialize)
         result.pairs.reserve(n);
 
-    const bool tagged = sw::effectiveTagged(index, cfg);
     const std::size_t batch =
         cfg.batch ? cfg.batch : HashIndex::kProbeBatch;
 
@@ -97,7 +96,7 @@ probeAll(const HashIndex &index, const Column &probe_keys,
                         result.pairs.push_back(
                             {payload, RowId(base + i)});
                 },
-                tagged, batch);
+                cfg.tagged, batch);
         }
         result.probeSeconds = secondsSince(start);
         return result;
@@ -113,7 +112,7 @@ probeAll(const HashIndex &index, const Column &probe_keys,
             if (materialize)
                 result.pairs.push_back({payload, RowId(r)});
         },
-        tagged, batch);
+        cfg.tagged, batch);
     result.probeSeconds = secondsSince(start);
     return result;
 }

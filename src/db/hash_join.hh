@@ -58,10 +58,12 @@ struct JoinResult
  * @param arena storage for the index.
  * @param materialize when false, matches are counted but not stored
  *        (large joins in benchmarks).
- * @param cfg probe-pipeline knobs: batch/tagged/adaptiveTags select
- *        the dispatcher schedule; cfg.walkers > 1 runs the probe
- *        phase on a scoped sw::IndexService (K persistent walker
- *        threads serving this one call) with matches merged
+ * @param cfg probe-pipeline knobs: batch and tagged select the
+ *        dispatcher schedule, used as given on one thread;
+ *        cfg.walkers > 1 runs the probe phase on a scoped
+ *        sw::IndexService (K persistent walker threads serving this
+ *        one call, where tagged is only the cold-start default and
+ *        the observed reject rate then rules) with matches merged
  *        deterministically — probeBatch order — back onto the
  *        calling thread. Callers probing repeatedly should hold a
  *        service and use the IndexService overload of probeAll

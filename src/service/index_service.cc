@@ -1008,14 +1008,16 @@ IndexService::drainWindow(const Index &idx, Window &win,
 
     // Tag sweep: batched fingerprint filter plus survivor-only
     // header prefetches (the drain's own tag check stays off — the
-    // stream skips rejected ordinals). Adaptive mode keeps its
-    // stats alive after flipping the filter off by running every
-    // 32nd untagged window tagged anyway: the sweep is correct
+    // stream skips rejected ordinals). It costs a tag-byte load per
+    // key and pays only by rejecting keys, so the index's observed
+    // reject rate decides per window (pipeline.tagged holds until
+    // the sample is in). Only swept windows feed that rate, so
+    // every 32nd untagged window sweeps anyway: the sweep is correct
     // either way (no false negatives), and the periodic sample is
-    // what lets the recommendation swing back on when traffic turns
+    // what lets the filter swing back on when traffic turns
     // selective again.
-    bool tagged = effectiveTagged(index_, cfg_.pipeline);
-    if (cfg_.pipeline.adaptiveTags && !tagged &&
+    bool tagged = index_.taggedWorthwhile(cfg_.pipeline.tagged);
+    if (!tagged &&
         nUntagged_.fetch_add(1, std::memory_order_relaxed) % 32 ==
             0)
         tagged = true;
@@ -1391,6 +1393,11 @@ IndexService::collectMetrics(obs::Snapshot &out) const
                 "Sliding-window stat agings", t.agings());
         gauge("widx_tagfilter_reject_rate",
               "Recent-window filter reject rate", t.rejectRate());
+        gauge("widx_tagfilter_enabled",
+              "1 while drain windows run the fingerprint filter, 0 "
+              "while only every 32nd samples it",
+              index_.taggedWorthwhile(cfg_.pipeline.tagged) ? 1.0
+                                                            : 0.0);
     }
 
     // Per-kind latency: full histograms for the end-to-end split

@@ -668,8 +668,8 @@ class IndexService
     std::atomic<u64> nExpired_{0};
     std::atomic<u64> nCancelled_{0};
     std::atomic<u64> nStalls_{0};
-    /** Untagged-window counter for adaptive re-sampling (see
-     *  drainWindow). */
+    /** Untagged-window counter for the tag filter's re-sampling
+     *  (see drainWindow). */
     std::atomic<u64> nUntagged_{0};
     /** Live-request gauge (ServiceStats::liveRequests). Shared with
      *  every request — a client can legally hold a ticket past

@@ -26,36 +26,20 @@ struct PipelineConfig
      *  IndexService this is also the dispatch-window size small
      *  requests coalesce into. */
     unsigned batch = unsigned(db::HashIndex::kProbeBatch);
-    /** Reject non-matching buckets on the one-byte tag filter. */
+    /** Reject non-matching buckets on the one-byte tag filter.
+     *  One-shot probers (ScalarProber, AmacProber, the
+     *  single-thread db::probeAll) use it as given. For an
+     *  IndexService it is only the cold-start default: once the
+     *  index's tag sweeps have checked
+     *  db::TagFilterStats::kMinSampleKeys keys, the observed reject
+     *  rate decides per window (see IndexService::drainWindow). */
     bool tagged = true;
-    /** Adaptive tagging: when set, `tagged` is only the cold-start
-     *  default — effectiveTagged() lets the index's observed reject
-     *  rate (db::TagFilterStats, fed by the batched tag sweeps)
-     *  flip the filter off once it rejects too few buckets to pay
-     *  for its byte loads. Because only tagged sweeps feed the
-     *  stats, a flipped-off filter needs a re-sampling consumer to
-     *  swing back on: the IndexService runs every 32nd untagged
-     *  window tagged for exactly that, so a long-lived service
-     *  recovers the filter when traffic turns selective again. */
-    bool adaptiveTags = false;
     /** Walker threads; <= 1 keeps every prober on the calling
      *  thread. Only the db entry points (db::probeAll / hashJoin)
      *  consult this knob: > 1 runs the call on a scoped
      *  IndexService with that many walkers. */
     unsigned walkers = 1;
 };
-
-/** Resolve the tag knob against the index's observed reject rate
- *  (identity unless cfg.adaptiveTags). Templated for the same
- *  reason as the drains: db::HashIndex and sw::ShardedIndex both
- *  expose taggedWorthwhile(). */
-template <typename Index>
-inline bool
-effectiveTagged(const Index &index, const PipelineConfig &cfg)
-{
-    return cfg.adaptiveTags ? index.taggedWorthwhile(cfg.tagged)
-                            : cfg.tagged;
-}
 
 } // namespace widx::sw
 

@@ -238,7 +238,6 @@ class ScalarProber
     u64
     probeAll(std::span<const u64> keys, Sink &&sink) const
     {
-        const bool tagged = effectiveTagged(index_, cfg_);
         if (cfg_.batch == 0) {
             // Inline schedule: hash, walk, emit, one key at a time.
             u64 matches = 0;
@@ -247,11 +246,12 @@ class ScalarProber
                 matches += index_.probeHashed(
                     key, index_.hashKey(key),
                     [&](u64 payload) { sink(i, key, payload); },
-                    tagged);
+                    cfg_.tagged);
             }
             return matches;
         }
-        return index_.probeBatch(keys, sink, tagged, cfg_.batch);
+        return index_.probeBatch(keys, sink, cfg_.tagged,
+                                 cfg_.batch);
     }
 
     u64
@@ -368,10 +368,8 @@ class AmacProber
     u64
     probeAll(std::span<const u64> keys, Sink &&sink) const
     {
-        PipelineConfig cfg = cfg_;
-        cfg.tagged = effectiveTagged(index_, cfg_);
-        HashedWindow window(index_, keys, cfg);
-        return amacDrain(index_, window, width_, cfg.tagged,
+        HashedWindow window(index_, keys, cfg_);
+        return amacDrain(index_, window, width_, cfg_.tagged,
                          std::forward<Sink>(sink));
     }
 

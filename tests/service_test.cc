@@ -22,6 +22,7 @@
 #include "common/arena.hh"
 #include "common/rng.hh"
 #include "db/hash_join.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "service/index_service.hh"
 #include "service/open_loop.hh"
@@ -192,8 +193,9 @@ struct ServiceCase
     bool indirect;
     double zipf;
     unsigned batch;
-    bool tagged;
+    bool tagged; ///< the service's cold-start tag default
     bool coalesce = true;
+    unsigned width = ServiceConfig{}.width;
 };
 
 class ServiceEquivalence
@@ -213,6 +215,7 @@ TEST_P(ServiceEquivalence, ByteIdenticalToProbeBatch)
     cfg.pipeline.batch = c.batch;
     cfg.pipeline.tagged = c.tagged;
     cfg.coalesceTails = c.coalesce;
+    cfg.width = c.width;
     IndexService service(*d.build, d.spec, cfg);
     EXPECT_EQ(service.shards(), c.shards);
 
@@ -282,7 +285,11 @@ INSTANTIATE_TEST_SUITE_P(
         ServiceCase{4, 1, false, 0.0, 64, true},
         ServiceCase{2, 4, false, 0.0, 64, true},
         // Tag modes, chunk sizes (incl. inline batch=0 -> default
-        // chunking), layouts, skew.
+        // chunking), layouts, skew. tagged = false starts the
+        // service untagged; its stats then grow only through the
+        // 1-in-32 re-sample windows and stay short of the sample
+        // that would let them decide, so every other window of
+        // these cases drains untagged.
         ServiceCase{4, 4, false, 0.0, 64, false},
         ServiceCase{4, 4, false, 0.0, 16, true},
         ServiceCase{4, 4, false, 0.0, 16, false},
@@ -295,7 +302,14 @@ INSTANTIATE_TEST_SUITE_P(
         // must not care.
         ServiceCase{1, 4, false, 0.0, 64, true, false},
         ServiceCase{4, 2, false, 0.0, 16, true, false},
-        ServiceCase{4, 4, false, 0.6, 64, true, false}));
+        ServiceCase{4, 4, false, 0.6, 64, true, false},
+        // AMAC width: one walk in flight and the cap, beside the
+        // default every case above runs.
+        ServiceCase{1, 2, false, 0.0, 64, true, true, 1},
+        ServiceCase{4, 4, true, 0.8, 16, false, true, 1},
+        ServiceCase{1, 4, false, 0.0, 0, true, true, kMaxWidth},
+        ServiceCase{4, 2, false, 0.99, 32, false, true,
+                    kMaxWidth}));
 
 // ---------------------------------------------------------------------------
 // IndexService: walker-balanced windows for large requests
@@ -1058,30 +1072,71 @@ TEST(IndexService, AdaptiveTaggingTracksTrafficShape)
     db::IndexSpec spec;
     spec.buckets = 4096;
 
-    ServiceConfig cfg;
-    cfg.pipeline.adaptiveTags = true;
-    IndexService service(build, spec, cfg);
+    // A default service adapts: pipeline.tagged is only the
+    // cold-start value. One walker and the default 64-key chunks
+    // seal a request of n * 1024 keys as n windows of 1024 keys.
+    IndexService service(build, spec, ServiceConfig{});
+    obs::MetricsRegistry reg;
+    service.registerMetrics(reg);
+    const db::TagFilterStats &stats = service.index().tagStats();
+    constexpr std::size_t kWin = db::HashIndex::kMaxProbeBatch;
+    auto scrape = [&](const char *family) {
+        return obs::snapshotValue(reg.snapshot(), family, {}, -1.0);
+    };
+    auto windowsOf = [&](std::span<const u64> keys) {
+        const u64 before = service.stats().windows;
+        service.count(keys);
+        return service.stats().windows - before;
+    };
 
-    // Phase 1 — hit-dominated traffic: nearly every probe finds its
-    // key, the filter rejects almost nothing, and adaptive mode
-    // turns it off once the sample is in.
-    std::vector<u64> hits = wl::uniformKeys(20000, 4096, rng);
+    // Phase 1 — hit-only traffic: the filter rejects nothing, and
+    // the service turns it off once the sample is in.
+    std::vector<u64> hits = wl::uniformKeys(8 * kWin, 4096, rng);
+    EXPECT_EQ(scrape("widx_tagfilter_enabled"), 1.0); // cold start
     service.count(hits);
-    EXPECT_GE(service.index().tagStats().keys(),
-              db::TagFilterStats::kMinSampleKeys);
-    EXPECT_LT(service.index().tagStats().rejectRate(), 0.05);
+    EXPECT_GE(stats.keys(), db::TagFilterStats::kMinSampleKeys);
+    EXPECT_EQ(stats.rejects(), 0u);
     EXPECT_FALSE(service.index().taggedWorthwhile(true));
+    EXPECT_EQ(scrape("widx_tagfilter_enabled"), 0.0);
+    EXPECT_EQ(scrape("widx_tagfilter_keys_total"),
+              double(stats.keys()));
+    EXPECT_EQ(scrape("widx_tagfilter_reject_rate"), 0.0);
+
+    // After the flip, hit-only windows skip the sweep: of N
+    // windows, only the 1-in-32 re-samples sweep, so the swept keys
+    // grow by at most ceil(N / 32) windows' worth.
+    constexpr std::size_t kHitWindows = 64;
+    std::vector<u64> more =
+        wl::uniformKeys(kHitWindows * kWin, 4096, rng);
+    const u64 sweptBefore = stats.keys();
+    ASSERT_EQ(windowsOf(more), kHitWindows);
+    EXPECT_LE(stats.keys() - sweptBefore,
+              (kHitWindows + 31) / 32 * kWin);
+    EXPECT_EQ(scrape("widx_tagfilter_enabled"), 0.0);
 
     // Phase 2 — the same service's traffic turns miss-heavy. The
-    // filter is off, but the periodic re-sampling windows (1 in 32)
-    // keep feeding the stats, so the reject rate climbs past the
-    // threshold and the recommendation swings back on.
-    std::vector<u64> misses = wl::uniformKeys(80000, 4096, rng);
+    // re-sampling windows keep feeding the stats, so the reject
+    // rate climbs past the threshold and the filter swings back on.
+    std::vector<u64> misses = wl::uniformKeys(80 * kWin, 4096, rng);
     for (u64 &k : misses)
         k += 4096;
     service.count(misses);
-    EXPECT_GT(service.index().tagStats().rejectRate(), 0.05);
+    EXPECT_GT(stats.rejectRate(), 0.05);
     EXPECT_TRUE(service.index().taggedWorthwhile(false));
+    EXPECT_EQ(scrape("widx_tagfilter_enabled"), 1.0);
+    EXPECT_GT(scrape("widx_tagfilter_reject_rate"), 0.05);
+    EXPECT_EQ(scrape("widx_tagfilter_rejects_total"),
+              double(stats.rejects()));
+
+    // With the filter on, every miss-heavy window sweeps.
+    constexpr std::size_t kMissWindows = 16;
+    const u64 sweptOn = stats.keys();
+    ASSERT_EQ(windowsOf({misses.data(), kMissWindows * kWin}),
+              kMissWindows);
+    EXPECT_EQ(stats.keys() - sweptOn, kMissWindows * kWin);
+    // The exact counts above need unaged stats: an aging would have
+    // halved keys().
+    EXPECT_EQ(stats.agings(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1291,10 +1346,17 @@ TEST(IndexService, AdaptiveAdmissionAdjustsUnderOverload)
     cfg.admission.targetQueueP99Ns = 50'000; // tight: force action
     IndexService service(*d.flat, cfg);
 
+    // Overload in keys, not only in requests: 300K/s requests of
+    // 1024 keys offer ~300M keys/s, about 12x what one walker
+    // drains from this index (~25M keys/s on a 4-vCPU Xeon VM), so
+    // queue-wait outgrows the target whether or not the walker has
+    // a core to itself. At 16 keys per request the same rate was
+    // within one walker's reach, and the target was sometimes never
+    // missed.
     OpenLoopOptions opt;
-    opt.ratePerSec = 300000; // far past one walker's capacity
+    opt.ratePerSec = 300000;
     opt.requests = 6000;
-    opt.keysPerRequest = 16;
+    opt.keysPerRequest = db::HashIndex::kMaxProbeBatch;
     opt.arrivals = ArrivalProcess::Poisson;
     const OpenLoopReport rep = runOpenLoop(service, d.keys, opt);
 
