@@ -1,11 +1,9 @@
 /**
  * @file
- * Shared JSON emitter for the open-loop benchmark family
- * (latency_bench, net_bench): one row per open-loop run, written in
- * google-benchmark-compatible shape extended with the
- * p50_ns/p99_ns/goodput fields tools/bench_regression.py
- * schema-validates and gates. Factored here so the local and the
- * socket ladder emit byte-compatible files from one writer.
+ * JSON emitter for latency_bench's open-loop ladder: one row per
+ * open-loop run, written in google-benchmark-compatible shape
+ * extended with the p50_ns/p99_ns/goodput fields
+ * tools/bench_regression.py schema-validates and gates.
  */
 
 #ifndef WIDX_BENCH_OL_JSON_HH

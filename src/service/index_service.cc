@@ -864,7 +864,6 @@ IndexService::watchdogMain()
             if (reported[w] != ep) {
                 reported[w] = ep;
                 warnedBucket[w] = age / cfg_.stallThresholdNs;
-                nStalls_.fetch_add(1, std::memory_order_relaxed);
                 wobs_[w].stalls.fetch_add(1,
                                           std::memory_order_relaxed);
                 warn("index service watchdog: walker %u stuck in "
@@ -1094,13 +1093,13 @@ IndexService::stats() const
     ServiceStats s;
     s.requests = nRequests_.load(std::memory_order_relaxed);
     s.keys = nKeys_.load(std::memory_order_relaxed);
-    s.windows = windowsDrained();
+    s.windows = sumWalkers(&WalkerObs::windows);
     s.coalescedWindows = nCoalesced_.load(std::memory_order_relaxed);
     s.completedOk = nCompletedOk_.load(std::memory_order_relaxed);
     s.rejected = nRejected_.load(std::memory_order_relaxed);
     s.expired = nExpired_.load(std::memory_order_relaxed);
     s.cancelled = nCancelled_.load(std::memory_order_relaxed);
-    s.walkerStalls = nStalls_.load(std::memory_order_relaxed);
+    s.walkerStalls = sumWalkers(&WalkerObs::stalls);
     s.liveRequests = liveGauge_->load(std::memory_order_relaxed);
     if (adm_)
         s.admission = adm_->snapshot();
@@ -1128,11 +1127,11 @@ IndexService::stats() const
 }
 
 u64
-IndexService::windowsDrained() const
+IndexService::sumWalkers(std::atomic<u64> WalkerObs::*counter) const
 {
     u64 n = 0;
     for (unsigned w = 0; w < walkers(); ++w)
-        n += wobs_[w].windows.load(std::memory_order_relaxed);
+        n += (wobs_[w].*counter).load(std::memory_order_relaxed);
     return n;
 }
 
@@ -1203,13 +1202,13 @@ IndexService::collectMetrics(obs::Snapshot &out) const
             rel(nRequests_));
     counter("widx_service_keys_total", "Keys submitted", rel(nKeys_));
     counter("widx_service_windows_total", "Dispatch windows drained",
-            windowsDrained());
+            sumWalkers(&WalkerObs::windows));
     counter("widx_service_windows_coalesced_total",
             "Windows spanning more than one request tail",
             rel(nCoalesced_));
     counter("widx_service_walker_stalls_total",
             "Watchdog stuck-window reports, all walkers",
-            rel(nStalls_));
+            sumWalkers(&WalkerObs::stalls));
     gauge("widx_service_live_requests",
           "Request states currently allocated",
           double(liveGauge_->load(std::memory_order_relaxed)));

@@ -593,8 +593,6 @@ class IndexService
     template <typename Index>
     void drainWindow(const Index &idx, Window &win,
                      std::vector<MatchRec> &found);
-    /** Windows drained, summed over the per-walker counters. */
-    u64 windowsDrained() const;
 
     ShardedIndex index_;
     ServiceConfig cfg_;
@@ -648,6 +646,10 @@ class IndexService
         std::atomic<u64> dtlbMisses{0};
     };
     std::unique_ptr<WalkerObs[]> wobs_;
+    /** One WalkerObs counter summed over every walker: the service
+     *  totals (ServiceStats::windows, ::walkerStalls and their
+     *  widx_service_* families) are views over these. */
+    u64 sumWalkers(std::atomic<u64> WalkerObs::*counter) const;
 
     /** Span-trace ring (ServiceConfig::trace; null = tracing off).
      *  Raw pointer resolved at start(); cfg_ keeps the ownership. */
@@ -667,7 +669,6 @@ class IndexService
     std::atomic<u64> nRejected_{0};
     std::atomic<u64> nExpired_{0};
     std::atomic<u64> nCancelled_{0};
-    std::atomic<u64> nStalls_{0};
     /** Untagged-window counter for the tag filter's re-sampling
      *  (see drainWindow). */
     std::atomic<u64> nUntagged_{0};

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "common/failpoint.hh"
 #include "common/rng.hh"
 #include "db/hash_join.hh"
+#include "obs/metrics.hh"
 #include "service/index_service.hh"
 #include "workload/distributions.hh"
 
@@ -173,6 +175,22 @@ TEST_F(ChaosTest, StalledWalkerDoesNotBlockOrCorruptTraffic)
     // The watchdog saw the freeze (once per stuck window, even
     // across several poll periods inside it).
     EXPECT_EQ(service.stats().walkerStalls, 1u);
+
+    // Counted once: the scrape's service total is the sum of its
+    // per-walker samples, one per walker.
+    obs::MetricsRegistry reg;
+    service.registerMetrics(reg);
+    const obs::Snapshot snap = reg.snapshot();
+    std::vector<double> perWalker;
+    for (const obs::Family &f : snap)
+        if (f.name == "widx_walker_stalls_total")
+            for (const obs::Sample &s : f.samples)
+                perWalker.push_back(s.value);
+    ASSERT_EQ(perWalker.size(), cfg.walkers);
+    EXPECT_EQ(std::accumulate(perWalker.begin(), perWalker.end(), 0.0),
+              obs::snapshotValue(snap, "widx_service_walker_stalls_total"));
+    EXPECT_EQ(obs::snapshotValue(snap, "widx_service_walker_stalls_total"),
+              1.0);
 }
 
 // ---------------------------------------------------------------------------

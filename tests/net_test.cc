@@ -564,4 +564,15 @@ TEST(TcpFrontEnd, OpenLoopOverTheSocketAccountsEveryArrival)
     EXPECT_GT(rep.completed, 0u);
     EXPECT_GE(rep.completed, rep.goodput);
     EXPECT_GT(rep.latency.count, 0u);
+
+    // The server's side of the same ledger: every submitted frame
+    // was parsed and submitted, none was malformed, and each was
+    // answered or dropped with its connection. The Hello is the one
+    // response with no request behind it.
+    client.close();
+    server.stop();
+    const widx::net::TcpServerStats st = server.stats();
+    EXPECT_EQ(st.requests, rep.submitted);
+    EXPECT_EQ(st.protocolErrors, 0u);
+    EXPECT_EQ(st.responses + st.droppedResponses, st.requests + 1);
 }
