@@ -263,7 +263,7 @@ main(int argc, char **argv)
             opt.deadlineNs = deadlineNs;
             opt.sloNs = sloNs;
             // Unmeasured warm-up burst: the adaptive controller
-            // cold-starts wide open (budget = maxBudgetKeys), and
+            // cold-starts wide open (budget = kMaxBudgetKeys), and
             // its first convergence — a transient every deployment
             // sees exactly once — would otherwise dominate a short
             // row's p99. Steady-state behavior is what the ladder

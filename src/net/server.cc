@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -10,8 +11,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/failpoint.hh"
 #include "common/logging.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace widx::net {
@@ -67,8 +68,33 @@ TcpIndexServer::TcpIndexServer(sw::IndexService &service,
         metrics_ = ownedMetrics_.get();
         service_.registerMetrics(*metrics_);
     }
-    metrics_->addCollector(
-        [this](obs::Snapshot &out) { collectNetMetrics(out); });
+    accepted_ = counters_.counter("widx_net_connections_accepted_total",
+                                  "TCP connections accepted.");
+    closed_ = counters_.counter(
+        "widx_net_connections_closed_total",
+        "TCP connections closed (EOF, error, slow-consumer drop, or "
+        "shutdown).");
+    requests_ = counters_.counter(
+        "widx_net_requests_total",
+        "Request frames parsed and submitted to the service.");
+    responses_ = counters_.counter(
+        "widx_net_responses_total",
+        "Response frames serialized toward a client.");
+    dropped_ = counters_.counter(
+        "widx_net_dropped_responses_total",
+        "Completions whose connection closed first.");
+    protocolErrors_ = counters_.counter(
+        "widx_net_protocol_errors_total",
+        "Malformed frames (the connection is dropped).");
+    statsScrapes_ = counters_.counter(
+        "widx_net_stats_scrapes_total",
+        "Stats frames answered in-line from the registry.");
+    metrics_->addCollector([this](obs::Snapshot &out) {
+        obs::Snapshot handles = counters_.snapshot();
+        std::move(handles.begin(), handles.end(),
+                  std::back_inserter(out));
+        collectNetMetrics(out);
+    });
     trace_ = opt_.trace.get();
 
     loop_ = std::thread([this] { loopMain(); });
@@ -90,15 +116,17 @@ TcpIndexServer::stop()
     [[maybe_unused]] ssize_t w = ::write(wakeFd_, &one, sizeof(one));
     if (loop_.joinable())
         loop_.join();
-    // Loop is down: close every connection. Completions still in
-    // flight find no connection and count as dropped; the reaper
-    // exits once the last one lands (the service guarantees every
-    // submitted request completes).
+    // Loop is down, so outstanding_ has seen its last increment:
+    // from here the reaper may exit once it reads 0. Close every
+    // connection; completions still in flight find none and count
+    // as dropped, and the reaper exits once the last one lands (the
+    // service guarantees every submitted request completes).
+    loopJoined_.store(true, std::memory_order_release);
     {
         MutexLock lk(connM_);
         for (auto &[fd, c] : conns_) {
             ::close(fd);
-            nClosed_.fetch_add(1, std::memory_order_relaxed);
+            closed_.inc();
         }
         conns_.clear();
     }
@@ -143,7 +171,7 @@ TcpIndexServer::closeConn(int fd)
         MutexLock lk(connM_);
         conns_.erase(fd);
     }
-    nClosed_.fetch_add(1, std::memory_order_relaxed);
+    closed_.inc();
 }
 
 // widx-lint: event-loop
@@ -210,7 +238,7 @@ TcpIndexServer::handleReadable(int fd)
                     speak ? sw::Status::Ok
                           : sw::Status::UnsupportedVersion);
             }
-            nResponses_.fetch_add(1, std::memory_order_relaxed);
+            responses_.inc();
             inlineQueued = true;
             if (speak)
                 c.saidHello = true;
@@ -230,7 +258,7 @@ TcpIndexServer::handleReadable(int fd)
                 appendStatusResponse(c.out, h.reqId, h.kind,
                                      sw::Status::UnsupportedVersion);
             }
-            nResponses_.fetch_add(1, std::memory_order_relaxed);
+            responses_.inc();
             inlineQueued = true;
             c.closeOnDrain = true;
             continue;
@@ -249,8 +277,8 @@ TcpIndexServer::handleReadable(int fd)
                 MutexLock lk(connM_);
                 appendStatsResponse(c.out, h.reqId, text);
             }
-            nStatsScrapes_.fetch_add(1, std::memory_order_relaxed);
-            nResponses_.fetch_add(1, std::memory_order_relaxed);
+            statsScrapes_.inc();
+            responses_.inc();
             inlineQueued = true;
             continue;
         }
@@ -267,16 +295,20 @@ TcpIndexServer::handleReadable(int fd)
         if (h.deadlineNs)
             sub.deadlineNs = monotonicNowNs() + h.deadlineNs;
         sub.traceId = traceId;
-        nRequests_.fetch_add(1, std::memory_order_relaxed);
+        requests_.inc();
         outstanding_.fetch_add(1, std::memory_order_relaxed);
         PendingReq *raw = pr.release(); // reaper reclaims via tag
         sub.payloads = std::span<const u64>(raw->payloads);
         service_.submitAsync(raw->kind,
                              std::span<const u64>(raw->keys), sub,
                              cq_, reinterpret_cast<u64>(raw));
+        // Fault injection (compiled out by default): slow the loop
+        // between the frames of one burst, so a test can stop the
+        // server while the burst is still being submitted.
+        WIDX_FAILPOINT("net.frame_delay");
     }
     if (bad) {
-        nProtoErr_.fetch_add(1, std::memory_order_relaxed);
+        protocolErrors_.inc();
         closeConn(fd);
         return;
     }
@@ -393,8 +425,7 @@ TcpIndexServer::loopMain()
                     ev.events = EPOLLIN;
                     ev.data.fd = cfd;
                     ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, cfd, &ev);
-                    nAccepted_.fetch_add(
-                        1, std::memory_order_relaxed);
+                    accepted_.inc();
                 }
                 continue;
             }
@@ -437,14 +468,12 @@ TcpIndexServer::reaperMain()
                     auto it = conns_.find(pr->fd);
                     if (it == conns_.end() ||
                         it->second.gen != pr->gen) {
-                        nDropped_.fetch_add(
-                            1, std::memory_order_relaxed);
+                        dropped_.inc();
                         continue;
                     }
                     appendResponse(it->second.out, pr->reqId,
                                    pr->kind, comp.result);
-                    nResponses_.fetch_add(
-                        1, std::memory_order_relaxed);
+                    responses_.inc();
                     poke = true;
                 }
             }
@@ -456,7 +485,7 @@ TcpIndexServer::reaperMain()
                     ::write(wakeFd_, &one, sizeof(one));
             }
         }
-        if (stopping_.load(std::memory_order_acquire) &&
+        if (loopJoined_.load(std::memory_order_acquire) &&
             outstanding_.load(std::memory_order_relaxed) == 0)
             return;
     }
@@ -466,70 +495,33 @@ TcpServerStats
 TcpIndexServer::stats() const
 {
     TcpServerStats s;
-    s.accepted = nAccepted_.load(std::memory_order_relaxed);
-    s.closed = nClosed_.load(std::memory_order_relaxed);
-    s.requests = nRequests_.load(std::memory_order_relaxed);
-    s.responses = nResponses_.load(std::memory_order_relaxed);
-    s.droppedResponses = nDropped_.load(std::memory_order_relaxed);
-    s.protocolErrors = nProtoErr_.load(std::memory_order_relaxed);
-    s.statsScrapes = nStatsScrapes_.load(std::memory_order_relaxed);
+    s.accepted = accepted_.value();
+    s.closed = closed_.value();
+    s.requests = requests_.value();
+    s.responses = responses_.value();
+    s.droppedResponses = dropped_.value();
+    s.protocolErrors = protocolErrors_.value();
+    s.statsScrapes = statsScrapes_.value();
     return s;
 }
 
 void
 TcpIndexServer::collectNetMetrics(obs::Snapshot &out) const
 {
-    using obs::Family;
-    using obs::MetricType;
-    using obs::Sample;
-
-    auto scalar = [&](const char *name, const char *help,
-                      MetricType type, double v) {
-        Family f;
-        f.name = name;
-        f.help = help;
-        f.type = type;
-        f.samples.push_back(Sample{{}, v, {}});
-        out.push_back(std::move(f));
+    auto gauge = [&](const char *name, const char *help, double v) {
+        out.push_back(obs::Family{
+            name, help, obs::MetricType::Gauge, {{{}, v, {}}}});
     };
-    auto counter = [&](const char *name, const char *help,
-                       const std::atomic<u64> &c) {
-        scalar(name, help, MetricType::Counter,
-               double(c.load(std::memory_order_relaxed)));
-    };
-
-    counter("widx_net_connections_accepted_total",
-            "TCP connections accepted.", nAccepted_);
-    counter("widx_net_connections_closed_total",
-            "TCP connections closed (EOF, error, slow-consumer "
-            "drop, or shutdown).",
-            nClosed_);
-    counter("widx_net_requests_total",
-            "Request frames parsed and submitted to the service.",
-            nRequests_);
-    counter("widx_net_responses_total",
-            "Response frames serialized toward a client.",
-            nResponses_);
-    counter("widx_net_dropped_responses_total",
-            "Completions whose connection closed first.", nDropped_);
-    counter("widx_net_protocol_errors_total",
-            "Malformed frames (the connection is dropped).",
-            nProtoErr_);
-    counter("widx_net_stats_scrapes_total",
-            "Stats frames answered in-line from the registry.",
-            nStatsScrapes_);
-    scalar("widx_net_outstanding_requests",
-           "Frames submitted to the service and not yet reaped.",
-           MetricType::Gauge,
-           double(outstanding_.load(std::memory_order_relaxed)));
+    gauge("widx_net_outstanding_requests",
+          "Frames submitted to the service and not yet reaped.",
+          double(outstanding_.load(std::memory_order_relaxed)));
     std::size_t open;
     {
         MutexLock lk(connM_);
         open = conns_.size();
     }
-    scalar("widx_net_open_connections",
-           "Currently open client connections.", MetricType::Gauge,
-           double(open));
+    gauge("widx_net_open_connections",
+          "Currently open client connections.", double(open));
 }
 
 } // namespace widx::net

@@ -39,12 +39,10 @@
 
 #include "common/thread_safety.hh"
 #include "net/protocol.hh"
+#include "obs/metrics.hh"
 
 namespace widx::obs {
-class MetricsRegistry;
 class TraceRing;
-struct Family;
-using Snapshot = std::vector<Family>; // mirrors obs/metrics.hh
 }
 
 namespace widx::net {
@@ -59,9 +57,10 @@ struct TcpServerOptions
     std::size_t maxOutBytes = 64u << 20;
     /** Registry served on Stats frames. Null = the server builds a
      *  private registry and registers the wrapped service's metrics
-     *  on it; either way the server adds its own net collector. The
-     *  registry (and any scraper of it) must not outlive the
-     *  server: the collector points back into it. */
+     *  on it; either way the server adds its own net collector
+     *  (its counter handles plus two gauges). The registry (and any
+     *  scraper of it) must not outlive the server: the collector
+     *  points back into it. */
     obs::MetricsRegistry *metrics = nullptr;
     /** Span-trace ring the reaper stamps Reap events into for
      *  traced requests. Normally the same ring as
@@ -69,6 +68,7 @@ struct TcpServerOptions
     std::shared_ptr<obs::TraceRing> trace;
 };
 
+/** Front-end counters: the cells the widx_net_* families scrape. */
 struct TcpServerStats
 {
     u64 accepted = 0;
@@ -145,6 +145,7 @@ class TcpIndexServer
      *  under it (the reaper only appends to Conn::out under
      *  connM_). */
     Conn *findConn(int fd);
+    /** The two gauges; the counters are handles in counters_. */
     void collectNetMetrics(obs::Snapshot &out) const;
 
     sw::IndexService &service_;
@@ -161,6 +162,9 @@ class TcpIndexServer
         std::make_shared<sw::CompletionQueue>();
     std::atomic<u64> outstanding_{0}; ///< submitted, not yet reaped
     std::atomic<bool> stopping_{false};
+    /** Set by stop() after the loop joins (the loop finishes its
+     *  burst after stopping_): the reaper's exit condition. */
+    std::atomic<bool> loopJoined_{false};
 
     /** Guards the table plus Conn::out/outOff (the fields the
      *  reaper shares; the Conn members themselves cannot carry
@@ -171,13 +175,12 @@ class TcpIndexServer
     std::unordered_map<int, Conn> conns_ WIDX_GUARDED_BY(connM_);
     u64 nextGen_ WIDX_GUARDED_BY(connM_) = 1;
 
-    std::atomic<u64> nAccepted_{0};
-    std::atomic<u64> nClosed_{0};
-    std::atomic<u64> nRequests_{0};
-    std::atomic<u64> nResponses_{0};
-    std::atomic<u64> nDropped_{0};
-    std::atomic<u64> nProtoErr_{0};
-    std::atomic<u64> nStatsScrapes_{0};
+    /** The front-end's counters, as handles into a private registry
+     *  (declared once in the constructor): stats() and the scrape
+     *  read the same cells. */
+    obs::MetricsRegistry counters_;
+    obs::Counter accepted_, closed_, requests_, responses_, dropped_,
+        protocolErrors_, statsScrapes_;
 
     std::thread loop_;
     std::thread reaper_;

@@ -10,18 +10,23 @@
  *    the handle is a pointer to its cell, and registration hands back
  *    the same cell for the same (name, labels) pair, so concurrent
  *    incrementers share one counter instead of shadowing each other.
+ *    Every monotone counter of `IndexService`, the TCP server and the
+ *    open-loop driver is a handle in a private registry, so its
+ *    stats() or report view reads the cell the scrape exports.
  *
  *  - **Collectors**: callbacks that append whole metric families to a
- *    snapshot at scrape time. This is how subsystems that already
- *    keep their own relaxed atomics (`IndexService`, the TCP server,
- *    the tag filter) export state without adding a single instruction
- *    to their hot paths — the export cost is paid by the scraper.
+ *    snapshot at scrape time, paid for by the scraper. They hold only
+ *    computed state (sums and ratios over handles, gauges,
+ *    histograms, counters of layers without a registry), plus the
+ *    snapshot of their subsystem's private registry of handles.
  *
  * `snapshot()` merges both sources into a deterministic (name-sorted,
  * label-sorted) family list; `renderPrometheus()` serializes it in
  * the Prometheus text exposition format (# HELP / # TYPE, escaped
  * label values, cumulative `le` histogram buckets). Determinism here
- * is what makes the exposition golden-testable.
+ * is what makes the exposition golden-testable. Same-name families
+ * merge, so a fact exported by both a handle and a collector shows
+ * up as a series twice, which `tools/widx_stats` rejects.
  *
  * Lifetime: a collector may capture raw pointers into the subsystem
  * that registered it. The registry must therefore not be scraped

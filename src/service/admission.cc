@@ -10,7 +10,7 @@ AdmissionController::AdmissionController(const AdmissionConfig &cfg,
     : cfg_(cfg),
       chunk_(std::max(1u, chunkKeys)),
       hold_(std::max(1u, chunkKeys)),
-      budget_(std::max(cfg.minBudgetKeys, cfg.maxBudgetKeys)),
+      budget_(kMaxBudgetKeys),
       rec_(recorderShards)
 {
 }
@@ -44,7 +44,7 @@ AdmissionController::adjustLocked()
     // steering on a handful of claims.
     const LatencyHistogram cum = rec_.snapshot();
     const LatencyHistogram win = cum.deltaSince(cursor_);
-    if (win.count() < cfg_.minIntervalSamples)
+    if (win.count() < kMinIntervalSamples)
         return;
     cursor_ = cum;
 
@@ -59,7 +59,7 @@ AdmissionController::adjustLocked()
         // budget — under sustained overload only bounding the queue
         // bounds the percentile. A severe overshoot (4x target)
         // isn't a batching problem at all: cut the budget in the
-        // same step so a cold-start at maxBudgetKeys converges in a
+        // same step so a cold-start at kMaxBudgetKeys converges in a
         // handful of intervals instead of walking the hold ladder
         // down first while the queue keeps inflating the tail.
         decreases_.fetch_add(1, std::memory_order_relaxed);
@@ -69,7 +69,7 @@ AdmissionController::adjustLocked()
                         std::memory_order_relaxed);
         if (h <= 1 || p99 > 4 * cfg_.targetQueueP99Ns) {
             const u64 b = budget_.load(std::memory_order_relaxed);
-            budget_.store(std::max(cfg_.minBudgetKeys, b / 2),
+            budget_.store(std::max(kMinBudgetKeys, b / 2),
                           std::memory_order_relaxed);
         }
     } else if (p99 <= cfg_.targetQueueP99Ns -
@@ -80,14 +80,13 @@ AdmissionController::adjustLocked()
         // Budget recovers before hold: admitting shed traffic beats
         // re-batching the admitted.
         const u64 b = budget_.load(std::memory_order_relaxed);
-        if (b < cfg_.maxBudgetKeys) {
-            budget_.store(
-                std::min(cfg_.maxBudgetKeys, b + cfg_.budgetStepKeys),
-                std::memory_order_relaxed);
+        if (b < kMaxBudgetKeys) {
+            budget_.store(std::min(kMaxBudgetKeys, b + kBudgetStepKeys),
+                          std::memory_order_relaxed);
         } else {
             const u32 h = hold_.load(std::memory_order_relaxed);
             if (h < chunk_)
-                hold_.store(std::min(chunk_, h + cfg_.holdStepKeys),
+                hold_.store(std::min(chunk_, h + kHoldStepKeys),
                             std::memory_order_relaxed);
         }
     }

@@ -32,7 +32,7 @@
  *  - **Cadence.** One walker per interval is elected by CAS to run
  *    the adjustment (observe() is called after every drained window;
  *    losers and below-minimum-sample intervals cost one relaxed
- *    load). Intervals with fewer than `minIntervalSamples` claims
+ *    load). Intervals with fewer than `kMinIntervalSamples` claims
  *    leave the cursor in place so sparse traffic accumulates instead
  *    of being judged on noise.
  *
@@ -58,25 +58,12 @@ struct AdmissionConfig
     /** Master switch: on, the AIMD controller drives tail-window
      *  holds and the queue budget and ServiceConfig::coalesceTails
      *  is ignored (off keeps the static coalesceTails behavior as a
-     *  forced mode). Forces latency recording on — the controller
-     *  is driven by the measured queue-wait. */
+     *  forced mode). */
     bool adaptive = false;
     /** The SLO: windowed queue-wait p99 the controller steers to. */
     u64 targetQueueP99Ns = 2'000'000;
     /** Controller cadence: adjust at most once per interval. */
     u64 intervalNs = 2'000'000;
-    /** Minimum claims in an interval before it is judged; sparser
-     *  intervals accumulate into the next one. */
-    u64 minIntervalSamples = 32;
-    /** Additive recovery step for the hold threshold (keys). */
-    u32 holdStepKeys = 8;
-    /** Additive recovery step for the queue budget (keys). */
-    u64 budgetStepKeys = 512;
-    /** Floor the budget never shrinks below (keeps a full window's
-     *  worth of admission even at max shed). */
-    u64 minBudgetKeys = 256;
-    /** Ceiling / initial value of the queue budget. */
-    u64 maxBudgetKeys = u64(1) << 20;
 };
 
 /** Point-in-time controller state (ServiceStats::admission). */
@@ -93,6 +80,19 @@ struct AdmissionSnapshot
 class AdmissionController
 {
   public:
+    /** Minimum claims in an interval before it is judged; sparser
+     *  intervals accumulate into the next one. */
+    static constexpr u64 kMinIntervalSamples = 32;
+    /** Additive recovery step for the hold threshold (keys). */
+    static constexpr u32 kHoldStepKeys = 8;
+    /** Additive recovery step for the queue budget (keys). */
+    static constexpr u64 kBudgetStepKeys = 512;
+    /** Floor the budget never shrinks below (keeps a full window's
+     *  worth of admission even at max shed). */
+    static constexpr u64 kMinBudgetKeys = 256;
+    /** Ceiling / initial value of the queue budget. */
+    static constexpr u64 kMaxBudgetKeys = u64(1) << 20;
+
     /** @param chunkKeys the service's dispatch-window capacity (the
      *  hold ceiling); @param recorderShards concurrency shards for
      *  the claim-time recorder (walkers + 1, as elsewhere). */

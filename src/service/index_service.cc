@@ -1,6 +1,7 @@
 #include "service/index_service.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/failpoint.hh"
 #include "common/logging.hh"
@@ -79,7 +80,9 @@ struct ServiceRequest
     u64 deadlineNs = 0;
     /** Completion status; transitions once, Ok -> non-Ok, via CAS —
      *  the first marker (deadline check, cancel sweep, reject path)
-     *  wins and owns the matching stats counter. */
+     *  wins. Every marker runs before its segment retires, so the
+     *  value finishRequest reads is final, and it counts the request
+     *  there. */
     std::atomic<u8> status{u8(Status::Ok)};
 
     bool
@@ -90,12 +93,12 @@ struct ServiceRequest
             expect, u8(s), std::memory_order_relaxed);
     }
 
-    /** Latency accounting (board null when recording is off).
-     *  tSubmit is stamped in submit(); tFirstDrain by the first
-     *  walker to claim a window holding one of this request's
-     *  segments (CAS from 0, so exactly one claim wins). The
-     *  claim's release on the remaining-countdown orders the stamp
-     *  before the finalizer's reads. */
+    /** Latency accounting. tSubmit is stamped in submit();
+     *  tFirstDrain by the first walker to claim a window holding one
+     *  of this request's segments (CAS from 0, so exactly one claim
+     *  wins; 0 = never claimed). The claim's release on the
+     *  remaining-countdown orders the stamp before the finalizer's
+     *  reads. */
     LatencyBoard *board = nullptr;
     u64 tSubmit = 0;
     std::atomic<u64> tFirstDrain{0};
@@ -192,8 +195,8 @@ struct ServiceRequest
         // `now` closes both components, so per request
         // queueWait + drainTime == endToEnd exactly (the service
         // test asserts the sums match to the nanosecond). Requests
-        // that never hit a walker (empty spans) have
-        // tFirstDrain == tSubmit: all latency is queue-wait-free.
+        // no walker ever claims (empty spans, mutations) count from
+        // tSubmit: all their latency is queue-wait-free.
         // Only Ok completions are recorded: fast-failed tickets
         // (rejected / expired / cancelled) would drag the service
         // percentiles toward the reject path's microseconds and
@@ -204,9 +207,9 @@ struct ServiceRequest
         r.completedAtNs = now;
         if (trace && traceId)
             trace->record(traceId, obs::SpanPoint::DrainDone, now);
-        if (board && r.status == Status::Ok) {
+        if (r.status == Status::Ok) {
             const u64 fd = tFirstDrain.load(std::memory_order_relaxed);
-            const u64 first = fd ? fd : now;
+            const u64 first = fd ? fd : tSubmit;
             auto &row = board->rec[unsigned(kind)];
             row[LatencyBoard::E2E].record(now - tSubmit);
             row[LatencyBoard::Queue].record(first - tSubmit);
@@ -358,19 +361,66 @@ IndexService::start()
     width_ = std::clamp(cfg_.width, 1u, kMaxWidth);
     const unsigned walkers =
         std::clamp(cfg_.walkers, 1u, kMaxWalkers);
-    // The admission controller steers on measured queue-wait, so
-    // adaptive mode forces the timestamps on even when the caller
-    // turned latency recording off.
     if (cfg_.admission.adaptive)
         adm_ = std::make_unique<AdmissionController>(
             cfg_.admission, u32(chunk_), walkers + 1);
-    if (cfg_.recordLatency || adm_)
-        board_ = std::make_unique<detail::LatencyBoard>(
-            walkers + 1); // walkers finalize; submitters do empties
+    board_ = std::make_unique<detail::LatencyBoard>(
+        walkers + 1); // walkers finalize; submitters do empties
     if (cfg_.watchdogPeriodNs > 0)
         beats_.reset(new WalkerBeat[walkers]);
-    wobs_.reset(new WalkerObs[walkers]);
     trace_ = cfg_.trace.get();
+
+    // Every counter gets its handle before the first walker starts,
+    // so the hot paths only ever increment.
+    requests_ = counters_.counter(
+        "widx_service_requests_total",
+        "Requests submitted (every Status included)");
+    keys_ = counters_.counter("widx_service_keys_total",
+                              "Keys submitted");
+    coalesced_ = counters_.counter(
+        "widx_service_windows_coalesced_total",
+        "Windows spanning more than one request tail");
+    static constexpr const char *kOutcome[] = {
+        "ok", "rejected", "expired", "cancelled"}; // by Status
+    for (unsigned st = 0; st < std::size(kOutcome); ++st)
+        completed_[st] = counters_.counter(
+            "widx_service_requests_completed_total",
+            "Completed requests by final Status",
+            {{"status", kOutcome[st]}});
+    struct WalkerFamily
+    {
+        obs::Counter WalkerObs::*handle;
+        const char *name;
+        const char *help;
+    };
+    // The first two always; the rest only with perf sampling on.
+    static constexpr WalkerFamily kWalker[] = {
+        {&WalkerObs::windows, "widx_walker_windows_total",
+         "Windows drained, by walker"},
+        {&WalkerObs::stalls, "widx_walker_stalls_total",
+         "Watchdog stuck-window reports, by walker"},
+        {&WalkerObs::cycles, "widx_walker_cycles_total",
+         "CPU cycles over sampled window drains"},
+        {&WalkerObs::instructions, "widx_walker_instructions_total",
+         "Instructions over sampled window drains"},
+        {&WalkerObs::llcMisses, "widx_walker_llc_misses_total",
+         "LLC read misses over sampled window drains"},
+        {&WalkerObs::dtlbMisses, "widx_walker_dtlb_misses_total",
+         "dTLB read misses over sampled window drains"},
+        {&WalkerObs::sampledWindows,
+         "widx_walker_sampled_windows_total",
+         "Window drains sampled with perf"},
+        {&WalkerObs::sampledProbes, "widx_walker_sampled_probes_total",
+         "Keys probed inside sampled window drains"},
+    };
+    const std::size_t families =
+        cfg_.perfSamplePeriod > 0 ? std::size(kWalker) : 2;
+    wobs_.resize(walkers);
+    for (unsigned w = 0; w < walkers; ++w)
+        for (std::size_t f = 0; f < families; ++f)
+            wobs_[w].*kWalker[f].handle = counters_.counter(
+                kWalker[f].name, kWalker[f].help,
+                {{"walker", std::to_string(w)}});
 
     threads_.reserve(walkers);
     for (unsigned w = 0; w < walkers; ++w)
@@ -414,8 +464,7 @@ IndexService::stop()
     // (Cancelled, possibly partial) result.
     for (Window &w : orphans)
         for (const Segment &seg : w.segs) {
-            if (seg.req->trySetStatus(Status::Cancelled))
-                nCancelled_.fetch_add(1, std::memory_order_relaxed);
+            seg.req->trySetStatus(Status::Cancelled);
             retireSegment(seg);
         }
 
@@ -450,16 +499,15 @@ IndexService::makeRequest(RequestKind kind,
         req->traceId = opt.traceId;
         req->trace = trace_;
     }
-    if (board_ || req->trace)
-        req->tSubmit = monotonicNowNs();
+    req->tSubmit = monotonicNowNs();
     if (req->trace)
         req->trace->record(req->traceId, obs::SpanPoint::Submit,
                            req->tSubmit);
     liveGauge_->fetch_add(1, std::memory_order_relaxed);
     req->liveGauge = liveGauge_;
 
-    nRequests_.fetch_add(1, std::memory_order_relaxed);
-    nKeys_.fetch_add(keys.size(), std::memory_order_relaxed);
+    requests_.inc();
+    keys_.inc(keys.size());
     return req;
 }
 
@@ -472,26 +520,17 @@ IndexService::submitRequest(
     if (keys.empty()) {
         // Nothing to do: complete before the submission returns. No
         // walker ever claims this request, so it accrues no
-        // queue-wait (tFirstDrain == tSubmit).
-        req->tFirstDrain.store(req->tSubmit,
-                               std::memory_order_relaxed);
+        // queue-wait.
         finishRequest(*req);
         return;
     }
 
     // Dead on arrival: a deadline already in the past fails fast
     // without touching the queues.
-    if (opt.deadlineNs) {
-        const u64 now =
-            board_ ? req->tSubmit : monotonicNowNs();
-        if (now > opt.deadlineNs) {
-            req->trySetStatus(Status::DeadlineExceeded);
-            nExpired_.fetch_add(1, std::memory_order_relaxed);
-            req->tFirstDrain.store(req->tSubmit,
-                                   std::memory_order_relaxed);
-            finishRequest(*req);
-            return;
-        }
+    if (opt.deadlineNs && req->tSubmit > opt.deadlineNs) {
+        req->trySetStatus(Status::DeadlineExceeded);
+        finishRequest(*req);
+        return;
     }
 
     // Writer path: mutations never enter the admission queues.
@@ -508,14 +547,7 @@ IndexService::submitRequest(
         // The admission path set the status (Rejected over budget,
         // Cancelled after stop); complete here, on the submitting
         // thread — the fast-fail that keeps backpressure cheap.
-        if (Status(req->status.load(std::memory_order_relaxed)) ==
-            Status::Rejected)
-            nRejected_.fetch_add(1, std::memory_order_relaxed);
-        else
-            nCancelled_.fetch_add(1, std::memory_order_relaxed);
-        req->tFirstDrain.store(req->tSubmit,
-                               std::memory_order_relaxed);
-        req->finalize();
+        finishRequest(*req);
     }
 }
 
@@ -527,8 +559,7 @@ IndexService::applyMutation(
 {
     // No walker ever claims a mutation, so its queue-wait is zero by
     // construction; end-to-end latency is the writer-path apply.
-    req->tFirstDrain.store(req->tSubmit, std::memory_order_relaxed);
-
+    //
     // Rejected, not undefined: a view-mode service wraps an index it
     // does not own, and Insert/Upsert without one payload per key
     // has no meaning. Nothing was applied in either case.
@@ -536,7 +567,6 @@ IndexService::applyMutation(
     if (!index_.liveMutable() ||
         (needPayloads && opt.payloads.size() != keys.size())) {
         req->trySetStatus(Status::Rejected);
-        nRejected_.fetch_add(1, std::memory_order_relaxed);
         finishRequest(*req);
         return;
     }
@@ -629,10 +659,9 @@ IndexService::finishRequest(detail::ServiceRequest &req)
 {
     // Status transitions are done by the time the last segment
     // retires (markers run at claim/cancel, which precede retire),
-    // so this read is the final verdict.
-    if (Status(req.status.load(std::memory_order_relaxed)) ==
-        Status::Ok)
-        nCompletedOk_.fetch_add(1, std::memory_order_relaxed);
+    // so this read is the final verdict: every request lands in
+    // exactly one outcome bucket, here.
+    completed_[req.status.load(std::memory_order_relaxed)].inc();
     req.finalize();
 }
 
@@ -778,8 +807,8 @@ IndexService::walkerMain(unsigned w)
             }
         }
         if (win.segs.size() > 1)
-            nCoalesced_.fetch_add(1, std::memory_order_relaxed);
-        wobs_[w].windows.fetch_add(1, std::memory_order_relaxed);
+            coalesced_.inc();
+        wobs_[w].windows.inc();
         bool sampleHw = false;
         if (perf && perf->available())
             sampleHw = drainedWindows++ % cfg_.perfSamplePeriod == 0;
@@ -807,18 +836,12 @@ IndexService::walkerMain(unsigned w)
             const obs::PerfGroup::Counts c = perf->read();
             if (c.valid) {
                 WalkerObs &wo = wobs_[w];
-                wo.sampledWindows.fetch_add(
-                    1, std::memory_order_relaxed);
-                wo.sampledProbes.fetch_add(
-                    win.keys, std::memory_order_relaxed);
-                wo.cycles.fetch_add(c.cycles,
-                                    std::memory_order_relaxed);
-                wo.instructions.fetch_add(
-                    c.instructions, std::memory_order_relaxed);
-                wo.llcMisses.fetch_add(c.llcMisses,
-                                       std::memory_order_relaxed);
-                wo.dtlbMisses.fetch_add(c.dtlbMisses,
-                                        std::memory_order_relaxed);
+                wo.sampledWindows.inc();
+                wo.sampledProbes.inc(win.keys);
+                wo.cycles.inc(c.cycles);
+                wo.instructions.inc(c.instructions);
+                wo.llcMisses.inc(c.llcMisses);
+                wo.dtlbMisses.inc(c.dtlbMisses);
             }
         }
         if (beats_) {
@@ -864,8 +887,7 @@ IndexService::watchdogMain()
             if (reported[w] != ep) {
                 reported[w] = ep;
                 warnedBucket[w] = age / cfg_.stallThresholdNs;
-                wobs_[w].stalls.fetch_add(1,
-                                          std::memory_order_relaxed);
+                wobs_[w].stalls.inc();
                 warn("index service watchdog: walker %u stuck in "
                      "one window drain for %.1f ms (threshold "
                      "%.1f ms)",
@@ -918,21 +940,17 @@ IndexService::processWindow(Window &win, std::vector<MatchRec> &found)
     // entirely in the queue-wait component; see KindLatency). The
     // winning claim also feeds the admission controller's windowed
     // queue-wait signal.
-    u64 now = 0;
-    if (board_ || trace_) {
-        now = monotonicNowNs();
-        for (const Segment &seg : win.segs) {
-            u64 expect = 0;
-            if (!seg.req->tFirstDrain.compare_exchange_strong(
-                    expect, now, std::memory_order_relaxed))
-                continue;
-            if (adm_)
-                adm_->recordQueueWait(now - seg.req->tSubmit);
-            if (seg.req->trace)
-                seg.req->trace->record(seg.req->traceId,
-                                       obs::SpanPoint::FirstClaim,
-                                       now);
-        }
+    const u64 now = monotonicNowNs();
+    for (const Segment &seg : win.segs) {
+        u64 expect = 0;
+        if (!seg.req->tFirstDrain.compare_exchange_strong(
+                expect, now, std::memory_order_relaxed))
+            continue;
+        if (adm_)
+            adm_->recordQueueWait(now - seg.req->tSubmit);
+        if (seg.req->trace)
+            seg.req->trace->record(seg.req->traceId,
+                                   obs::SpanPoint::FirstClaim, now);
     }
 
     // Deadline cut: a segment whose request is already past its
@@ -943,15 +961,9 @@ IndexService::processWindow(Window &win, std::vector<MatchRec> &found)
     std::size_t live = 0;
     for (std::size_t s = 0; s < win.segs.size(); ++s) {
         Segment &seg = win.segs[s];
-        bool expiredNow = false;
-        if (const u64 dl = seg.req->deadlineNs) {
-            if (now == 0)
-                now = monotonicNowNs();
-            expiredNow = now > dl;
-        }
-        if (expiredNow) {
-            if (seg.req->trySetStatus(Status::DeadlineExceeded))
-                nExpired_.fetch_add(1, std::memory_order_relaxed);
+        const u64 dl = seg.req->deadlineNs;
+        if (dl && now > dl) {
+            seg.req->trySetStatus(Status::DeadlineExceeded);
             retireSegment(seg);
         } else {
             if (live != s)
@@ -1017,8 +1029,7 @@ IndexService::drainWindow(const Index &idx, Window &win,
     // selective again.
     bool tagged = index_.taggedWorthwhile(cfg_.pipeline.tagged);
     if (!tagged &&
-        nUntagged_.fetch_add(1, std::memory_order_relaxed) % 32 ==
-            0)
+        untaggedWindows_.fetch_add(1, std::memory_order_relaxed) % 32 == 0)
         tagged = true;
     u64 bits[kMax / 64];
     if (tagged)
@@ -1091,14 +1102,14 @@ ServiceStats
 IndexService::stats() const
 {
     ServiceStats s;
-    s.requests = nRequests_.load(std::memory_order_relaxed);
-    s.keys = nKeys_.load(std::memory_order_relaxed);
+    s.requests = requests_.value();
+    s.keys = keys_.value();
     s.windows = sumWalkers(&WalkerObs::windows);
-    s.coalescedWindows = nCoalesced_.load(std::memory_order_relaxed);
-    s.completedOk = nCompletedOk_.load(std::memory_order_relaxed);
-    s.rejected = nRejected_.load(std::memory_order_relaxed);
-    s.expired = nExpired_.load(std::memory_order_relaxed);
-    s.cancelled = nCancelled_.load(std::memory_order_relaxed);
+    s.coalescedWindows = coalesced_.value();
+    s.completedOk = completed_[unsigned(Status::Ok)].value();
+    s.rejected = completed_[unsigned(Status::Rejected)].value();
+    s.expired = completed_[unsigned(Status::DeadlineExceeded)].value();
+    s.cancelled = completed_[unsigned(Status::Cancelled)].value();
     s.walkerStalls = sumWalkers(&WalkerObs::stalls);
     s.liveRequests = liveGauge_->load(std::memory_order_relaxed);
     if (adm_)
@@ -1111,35 +1122,28 @@ IndexService::stats() const
             s.rebuilds += index_.rebuildsTotal(sh);
         }
     }
-    if (board_) {
-        using detail::LatencyBoard;
-        for (unsigned k = 0; k < kNumRequestKinds; ++k) {
-            KindLatency &kl = s.latency[k];
-            kl.endToEnd =
-                board_->rec[k][LatencyBoard::E2E].summarize();
-            kl.queueWait =
-                board_->rec[k][LatencyBoard::Queue].summarize();
-            kl.drainTime =
-                board_->rec[k][LatencyBoard::Drain].summarize();
-        }
+    using detail::LatencyBoard;
+    for (unsigned k = 0; k < kNumRequestKinds; ++k) {
+        KindLatency &kl = s.latency[k];
+        kl.endToEnd = board_->rec[k][LatencyBoard::E2E].summarize();
+        kl.queueWait = board_->rec[k][LatencyBoard::Queue].summarize();
+        kl.drainTime = board_->rec[k][LatencyBoard::Drain].summarize();
     }
     return s;
 }
 
 u64
-IndexService::sumWalkers(std::atomic<u64> WalkerObs::*counter) const
+IndexService::sumWalkers(obs::Counter WalkerObs::*counter) const
 {
     u64 n = 0;
-    for (unsigned w = 0; w < walkers(); ++w)
-        n += (wobs_[w].*counter).load(std::memory_order_relaxed);
+    for (const WalkerObs &wo : wobs_)
+        n += (wo.*counter).value();
     return n;
 }
 
 void
 IndexService::resetLatencyStats()
 {
-    if (!board_)
-        return;
     for (auto &row : board_->rec)
         for (auto &rec : row)
             rec.reset();
@@ -1166,8 +1170,12 @@ IndexService::noteSeal(const Window &win)
 void
 IndexService::registerMetrics(obs::MetricsRegistry &reg)
 {
-    reg.addCollector(
-        [this](obs::Snapshot &out) { collectMetrics(out); });
+    reg.addCollector([this](obs::Snapshot &out) {
+        obs::Snapshot handles = counters_.snapshot();
+        std::move(handles.begin(), handles.end(),
+                  std::back_inserter(out));
+        collectMetrics(out);
+    });
 }
 
 void
@@ -1197,44 +1205,17 @@ IndexService::collectMetrics(obs::Snapshot &out) const
         return a.load(std::memory_order_relaxed);
     };
 
-    counter("widx_service_requests_total",
-            "Requests submitted (every Status included)",
-            rel(nRequests_));
-    counter("widx_service_keys_total", "Keys submitted", rel(nKeys_));
     counter("widx_service_windows_total", "Dispatch windows drained",
             sumWalkers(&WalkerObs::windows));
-    counter("widx_service_windows_coalesced_total",
-            "Windows spanning more than one request tail",
-            rel(nCoalesced_));
     counter("widx_service_walker_stalls_total",
             "Watchdog stuck-window reports, all walkers",
             sumWalkers(&WalkerObs::stalls));
     gauge("widx_service_live_requests",
           "Request states currently allocated",
-          double(liveGauge_->load(std::memory_order_relaxed)));
+          double(rel(*liveGauge_)));
     gauge("widx_service_queued_keys",
           "Keys parked in the admission queues",
           double(rel(queuedKeys_)));
-
-    {
-        Family f;
-        f.name = "widx_service_requests_completed_total";
-        f.help = "Completed requests by final Status";
-        f.type = MetricType::Counter;
-        f.samples.push_back(Sample{Labels{{"status", "ok"}},
-                                   double(rel(nCompletedOk_)),
-                                   {}});
-        f.samples.push_back(Sample{Labels{{"status", "rejected"}},
-                                   double(rel(nRejected_)),
-                                   {}});
-        f.samples.push_back(Sample{Labels{{"status", "expired"}},
-                                   double(rel(nExpired_)),
-                                   {}});
-        f.samples.push_back(Sample{Labels{{"status", "cancelled"}},
-                                   double(rel(nCancelled_)),
-                                   {}});
-        out.push_back(std::move(f));
-    }
 
     if (adm_) {
         const AdmissionSnapshot a = adm_->snapshot();
@@ -1255,92 +1236,53 @@ IndexService::collectMetrics(obs::Snapshot &out) const
               double(a.lastWindowCount));
     }
 
-    // Per-walker: windows, stall reports, current drain age, and
-    // the hardware-counter accumulation (zeros when perf is denied
-    // or sampling is off).
+    // Per-walker state that is not a handle: the current drain age
+    // and the ratios over the sampled-window counters.
     {
-        const unsigned n = unsigned(threads_.size());
+        const bool perf = cfg_.perfSamplePeriod > 0;
         const u64 now = monotonicNowNs();
-        Family windows, stalls, busy;
-        windows.name = "widx_walker_windows_total";
-        windows.help = "Windows drained, by walker";
-        windows.type = MetricType::Counter;
-        stalls.name = "widx_walker_stalls_total";
-        stalls.help = "Watchdog stuck-window reports, by walker";
-        stalls.type = MetricType::Counter;
+        Family busy, mpp, ipc;
         busy.name = "widx_walker_busy_ns";
         busy.help = "Age of the current window drain (0 = parked)";
         busy.type = MetricType::Gauge;
-        for (unsigned w = 0; w < n; ++w) {
+        mpp.name = "widx_walker_llc_misses_per_probe";
+        mpp.help = "LLC misses per probed key (sampled windows)";
+        mpp.type = MetricType::Gauge;
+        ipc.name = "widx_walker_ipc";
+        ipc.help = "Instructions per cycle over sampled window drains "
+                   "(MLP proxy: low IPC on the walker loop means "
+                   "overlapped misses, the design target)";
+        ipc.type = MetricType::Gauge;
+        for (unsigned w = 0; w < walkers(); ++w) {
             Labels l{{"walker", std::to_string(w)}};
-            windows.samples.push_back(
-                Sample{l, double(rel(wobs_[w].windows)), {}});
-            stalls.samples.push_back(
-                Sample{l, double(rel(wobs_[w].stalls)), {}});
             if (beats_) {
                 const u64 b = rel(beats_[w].busySinceNs);
                 busy.samples.push_back(Sample{
                     l, b && now > b ? double(now - b) : 0.0, {}});
             }
-        }
-        out.push_back(std::move(windows));
-        out.push_back(std::move(stalls));
-        if (beats_)
-            out.push_back(std::move(busy));
-
-        if (cfg_.perfSamplePeriod > 0) {
-            Family cyc, ins, llc, tlb, swin, sprb, mpp, ipc;
-            cyc.name = "widx_walker_cycles_total";
-            cyc.help = "CPU cycles over sampled window drains";
-            ins.name = "widx_walker_instructions_total";
-            ins.help = "Instructions over sampled window drains";
-            llc.name = "widx_walker_llc_misses_total";
-            llc.help = "LLC read misses over sampled window drains";
-            tlb.name = "widx_walker_dtlb_misses_total";
-            tlb.help = "dTLB read misses over sampled window drains";
-            swin.name = "widx_walker_sampled_windows_total";
-            swin.help = "Window drains sampled with perf";
-            sprb.name = "widx_walker_sampled_probes_total";
-            sprb.help = "Keys probed inside sampled window drains";
-            mpp.name = "widx_walker_llc_misses_per_probe";
-            mpp.help = "LLC misses per probed key (sampled windows)";
-            mpp.type = MetricType::Gauge;
-            ipc.name = "widx_walker_ipc";
-            ipc.help =
-                "Instructions per cycle over sampled window drains "
-                "(MLP proxy: low IPC on the walker loop means "
-                "overlapped misses, the design target)";
-            ipc.type = MetricType::Gauge;
-            for (Family *f : {&cyc, &ins, &llc, &tlb, &swin, &sprb})
-                f->type = MetricType::Counter;
-            for (unsigned w = 0; w < n; ++w) {
-                Labels l{{"walker", std::to_string(w)}};
+            if (perf) {
                 const WalkerObs &wo = wobs_[w];
-                const u64 cycles = rel(wo.cycles);
-                const u64 instrs = rel(wo.instructions);
-                const u64 misses = rel(wo.llcMisses);
-                const u64 probes = rel(wo.sampledProbes);
-                cyc.samples.push_back(Sample{l, double(cycles), {}});
-                ins.samples.push_back(Sample{l, double(instrs), {}});
-                llc.samples.push_back(Sample{l, double(misses), {}});
-                tlb.samples.push_back(
-                    Sample{l, double(rel(wo.dtlbMisses)), {}});
-                swin.samples.push_back(
-                    Sample{l, double(rel(wo.sampledWindows)), {}});
-                sprb.samples.push_back(
-                    Sample{l, double(probes), {}});
+                const u64 cycles = wo.cycles.value();
+                const u64 probes = wo.sampledProbes.value();
                 mpp.samples.push_back(Sample{
                     l,
-                    probes ? double(misses) / double(probes) : 0.0,
+                    probes ? double(wo.llcMisses.value()) /
+                                 double(probes)
+                           : 0.0,
                     {}});
                 ipc.samples.push_back(Sample{
                     l,
-                    cycles ? double(instrs) / double(cycles) : 0.0,
+                    cycles ? double(wo.instructions.value()) /
+                                 double(cycles)
+                           : 0.0,
                     {}});
             }
-            for (Family *f :
-                 {&cyc, &ins, &llc, &tlb, &swin, &sprb, &mpp, &ipc})
-                out.push_back(std::move(*f));
+        }
+        if (beats_)
+            out.push_back(std::move(busy));
+        if (perf) {
+            out.push_back(std::move(mpp));
+            out.push_back(std::move(ipc));
         }
     }
 
@@ -1402,47 +1344,40 @@ IndexService::collectMetrics(obs::Snapshot &out) const
     // Per-kind latency: full histograms for the end-to-end split
     // plus the percentile ladder as gauges (percentiles read from
     // the native log buckets, tighter than re-bucketed exposition).
-    if (board_) {
-        using detail::LatencyBoard;
-        static constexpr const char *kKind[kNumRequestKinds] = {
-            "count", "probe", "join",
-            "insert", "delete", "upsert"};
-        static constexpr const char *kComp[3] = {"e2e", "queue",
-                                                 "drain"};
-        Family hist, p50, p99;
-        hist.name = "widx_request_latency_ns";
-        hist.help = "Per-kind request latency (Ok completions; "
-                    "component e2e = queue + drain)";
-        hist.type = MetricType::Histogram;
-        p50.name = "widx_request_latency_p50_ns";
-        p50.help = "Median request latency";
-        p50.type = MetricType::Gauge;
-        p99.name = "widx_request_latency_p99_ns";
-        p99.help = "p99 request latency";
-        p99.type = MetricType::Gauge;
-        for (unsigned k = 0; k < kNumRequestKinds; ++k) {
-            for (unsigned comp = 0; comp < 3; ++comp) {
-                const LatencyHistogram h =
-                    board_->rec[k][comp].snapshot();
-                if (h.count() == 0)
-                    continue; // idle kinds stay out of the scrape
-                Labels l{{"kind", kKind[k]},
-                         {"component", kComp[comp]}};
-                Sample s;
-                s.labels = l;
-                s.hist = obs::toHistogramData(h);
-                hist.samples.push_back(std::move(s));
-                p50.samples.push_back(
-                    Sample{l, double(h.percentileNs(50)), {}});
-                p99.samples.push_back(
-                    Sample{l, double(h.percentileNs(99)), {}});
-            }
+    static constexpr const char *kKind[kNumRequestKinds] = {
+        "count", "probe", "join", "insert", "delete", "upsert"};
+    static constexpr const char *kComp[3] = {"e2e", "queue", "drain"};
+    Family hist, p50, p99;
+    hist.name = "widx_request_latency_ns";
+    hist.help = "Per-kind request latency (Ok completions; "
+                "component e2e = queue + drain)";
+    hist.type = MetricType::Histogram;
+    p50.name = "widx_request_latency_p50_ns";
+    p50.help = "Median request latency";
+    p50.type = MetricType::Gauge;
+    p99.name = "widx_request_latency_p99_ns";
+    p99.help = "p99 request latency";
+    p99.type = MetricType::Gauge;
+    for (unsigned k = 0; k < kNumRequestKinds; ++k) {
+        for (unsigned comp = 0; comp < 3; ++comp) {
+            const LatencyHistogram h = board_->rec[k][comp].snapshot();
+            if (h.count() == 0)
+                continue; // idle kinds stay out of the scrape
+            Labels l{{"kind", kKind[k]}, {"component", kComp[comp]}};
+            Sample s;
+            s.labels = l;
+            s.hist = obs::toHistogramData(h);
+            hist.samples.push_back(std::move(s));
+            p50.samples.push_back(
+                Sample{l, double(h.percentileNs(50)), {}});
+            p99.samples.push_back(
+                Sample{l, double(h.percentileNs(99)), {}});
         }
-        if (!hist.samples.empty()) {
-            out.push_back(std::move(hist));
-            out.push_back(std::move(p50));
-            out.push_back(std::move(p99));
-        }
+    }
+    if (!hist.samples.empty()) {
+        out.push_back(std::move(hist));
+        out.push_back(std::move(p50));
+        out.push_back(std::move(p99));
     }
 }
 

@@ -87,15 +87,13 @@
 
 #include "common/latency.hh"
 #include "common/thread_safety.hh"
+#include "obs/metrics.hh"
 #include "service/service_config.hh"
 #include "service/sharded_index.hh"
 #include "swwalkers/probers.hh"
 
 namespace widx::obs {
-class MetricsRegistry;
 class TraceRing;
-struct Family;
-using Snapshot = std::vector<Family>; // mirrors obs/metrics.hh
 }
 
 namespace widx::sw {
@@ -345,7 +343,8 @@ struct KindLatency
     LatencySnapshot drainTime;
 };
 
-/** Service traffic counters (relaxed; monotone since construction). */
+/** Service traffic counters (relaxed; monotone since construction),
+ *  read from the same counter cells the registry scrape exports. */
 struct ServiceStats
 {
     u64 requests = 0;         ///< submitted (every Status included)
@@ -385,10 +384,10 @@ struct ServiceStats
     /** Incremental shard rebuilds triggered by the load-factor
      *  watermark. */
     u64 rebuilds = 0;
-    /** Per-kind request latency, indexed by RequestKind (zeroed
-     *  when ServiceConfig::recordLatency is off; only Status::Ok
-     *  requests are recorded — fast-failed tickets would otherwise
-     *  drag the percentiles toward the reject path's microseconds). */
+    /** Per-kind request latency, indexed by RequestKind (only
+     *  Status::Ok requests are recorded — fast-failed tickets would
+     *  otherwise drag the percentiles toward the reject path's
+     *  microseconds). */
     std::array<KindLatency, kNumRequestKinds> latency{};
 
     const KindLatency &
@@ -505,21 +504,21 @@ class IndexService
     ServiceStats stats() const;
 
     /**
-     * Export this service's state into a MetricsRegistry: a
-     * scrape-time collector pulls the traffic counters, outcome
-     * split, admission state, per-walker window, stall and
-     * hardware-counter samples, tag-filter stats, and the per-kind
-     * latency histograms. Registration adds nothing to the request
-     * hot path — the cost is paid by the scraper. The service must
-     * outlive the registry's last snapshot() (the collector captures
-     * `this`).
+     * Export this service's state into a MetricsRegistry: one
+     * scrape-time collector appends the service's counter handles
+     * (traffic, outcome split, per-walker windows, stalls and
+     * hardware counters) and computes the rest — walker sums and
+     * ratios, gauges, admission state, tag-filter stats, and the
+     * per-kind latency histograms. Registration adds nothing to the
+     * request hot path — the cost is paid by the scraper. The
+     * service must outlive the registry's last snapshot() (the
+     * collector captures `this`).
      */
     void registerMetrics(obs::MetricsRegistry &reg);
 
     /** Zero the latency histograms (traffic counters keep running).
      *  Only exact while no request is in flight — intended for
-     *  benches resetting between rate rows. No-op when
-     *  ServiceConfig::recordLatency is off. */
+     *  benches resetting between rate rows. */
     void resetLatencyStats();
 
   private:
@@ -581,9 +580,11 @@ class IndexService
     /** Stamp WindowSeal span events for a window's traced requests
      *  (called at every seal site; no-op unless tracing is on). */
     void noteSeal(const Window &win) WIDX_REQUIRES(m_);
-    /** Scrape-time collector body for registerMetrics. */
+    /** Scrape-time families computed from state that is not a
+     *  counter handle (registerMetrics appends the handles). */
     void collectMetrics(obs::Snapshot &out) const;
-    /** Complete a request's ticket, counting Ok completions. */
+    /** Complete a request's ticket: the one place a request is
+     *  counted under its final Status. */
     void finishRequest(detail::ServiceRequest &req);
     /** Pop the next window: sealed first, else the open one. */
     bool claim(Window &win) WIDX_REQUIRES(m_);
@@ -628,28 +629,35 @@ class IndexService
     };
     std::unique_ptr<WalkerBeat[]> beats_;
 
-    /** Per-walker observability counters (always allocated — they
-     *  are only written on the per-window path and at watchdog
-     *  reports, never per key). Cache-line padded like the beats. */
-    // widx-lint: padded
-    struct alignas(kCacheBlockBytes) WalkerObs
+    /** The service's counters, as handles into a private registry
+     *  (declared once in start(), before any walker runs): stats()
+     *  and the scrape read the same cells. */
+    obs::MetricsRegistry counters_;
+    obs::Counter requests_, keys_, coalesced_;
+    /** Completed requests by final Status (indexed by it), bumped
+     *  only in finishRequest. UnsupportedVersion is a front-end
+     *  answer, never a service outcome: its handle stays a no-op. */
+    std::array<obs::Counter, unsigned(Status::UnsupportedVersion) + 1>
+        completed_;
+
+    /** Per-walker counter handles (written on the per-window path
+     *  and at watchdog reports, never per key; the registry pads
+     *  each cell to its own cache line). */
+    struct WalkerObs
     {
-        std::atomic<u64> windows{0};
-        std::atomic<u64> stalls{0}; ///< watchdog stuck-window reports
+        obs::Counter windows;
+        obs::Counter stalls; ///< watchdog stuck-window reports
         /** Hardware-counter accumulation over sampled windows
-         *  (cfg.perfSamplePeriod; zeros when perf is denied). */
-        std::atomic<u64> sampledWindows{0};
-        std::atomic<u64> sampledProbes{0};
-        std::atomic<u64> cycles{0};
-        std::atomic<u64> instructions{0};
-        std::atomic<u64> llcMisses{0};
-        std::atomic<u64> dtlbMisses{0};
+         *  (registered only with cfg.perfSamplePeriod; zeros when
+         *  perf is denied). */
+        obs::Counter sampledWindows, sampledProbes, cycles,
+            instructions, llcMisses, dtlbMisses;
     };
-    std::unique_ptr<WalkerObs[]> wobs_;
+    std::vector<WalkerObs> wobs_;
     /** One WalkerObs counter summed over every walker: the service
      *  totals (ServiceStats::windows, ::walkerStalls and their
      *  widx_service_* families) are views over these. */
-    u64 sumWalkers(std::atomic<u64> WalkerObs::*counter) const;
+    u64 sumWalkers(obs::Counter WalkerObs::*counter) const;
 
     /** Span-trace ring (ServiceConfig::trace; null = tracing off).
      *  Raw pointer resolved at start(); cfg_ keeps the ownership. */
@@ -662,16 +670,9 @@ class IndexService
     /** Serializes the join phase of stop() (idempotency). */
     Mutex joinM_;
 
-    std::atomic<u64> nRequests_{0};
-    std::atomic<u64> nKeys_{0};
-    std::atomic<u64> nCoalesced_{0};
-    std::atomic<u64> nCompletedOk_{0};
-    std::atomic<u64> nRejected_{0};
-    std::atomic<u64> nExpired_{0};
-    std::atomic<u64> nCancelled_{0};
     /** Untagged-window counter for the tag filter's re-sampling
      *  (see drainWindow). */
-    std::atomic<u64> nUntagged_{0};
+    std::atomic<u64> untaggedWindows_{0};
     /** Live-request gauge (ServiceStats::liveRequests). Shared with
      *  every request — a client can legally hold a ticket past
      *  service destruction, and the request's destructor must still
@@ -679,9 +680,9 @@ class IndexService
     std::shared_ptr<std::atomic<u64>> liveGauge_ =
         std::make_shared<std::atomic<u64>>(0);
 
-    /** Per-kind x per-component latency recorders (null when
-     *  recording is off). Requests hold a raw pointer into it; the
-     *  destructor drains every request before the board dies. */
+    /** Per-kind x per-component latency recorders. Requests hold a
+     *  raw pointer into it; the destructor drains every request
+     *  before the board dies. */
     std::unique_ptr<detail::LatencyBoard> board_;
 };
 

@@ -99,10 +99,10 @@ runOpenLoopOver(std::shared_ptr<CompletionQueue> cq,
     // coordinated omission).
     //
     // Tallies live in a run-local metrics registry (direct Counter
-    // handles, relaxed-atomic cells) and the report is filled from
-    // its snapshot — the same widx_openloop_* families either
-    // transport's harness would export, so report and exposition
-    // cannot disagree.
+    // handles, relaxed-atomic cells) and the report reads the same
+    // cells — the widx_openloop_* families either transport's
+    // harness would export, so report and exposition cannot
+    // disagree.
     LatencyHistogram hist;
     obs::MetricsRegistry reg;
     obs::Counter cScheduled = reg.counter(
@@ -242,20 +242,15 @@ runOpenLoopOver(std::shared_ptr<CompletionQueue> cq,
     doneAtNs.store(monotonicNowNs(), std::memory_order_release);
     reaper.join();
 
-    // The report is read back out of the registry snapshot — the
-    // counters above are the single source of truth.
-    const obs::Snapshot snap = reg.snapshot();
-    auto tally = [&](const char *name) {
-        return u64(obs::snapshotValue(snap, name));
-    };
-    rep.scheduled = tally("widx_openloop_scheduled_total");
-    rep.submitted = tally("widx_openloop_submitted_total");
-    rep.shedClientCap = tally("widx_openloop_shed_client_cap_total");
-    rep.completed = tally("widx_openloop_completed_total");
-    rep.timedOut = tally("widx_openloop_timed_out_total");
-    rep.rejected = tally("widx_openloop_rejected_total");
-    rep.expired = tally("widx_openloop_expired_total");
-    rep.goodput = tally("widx_openloop_goodput_total");
+    // The counters above are the single source of truth.
+    rep.scheduled = cScheduled.value();
+    rep.submitted = cSubmitted.value();
+    rep.shedClientCap = cShedCap.value();
+    rep.completed = cCompleted.value();
+    rep.timedOut = cTimedOut.value();
+    rep.rejected = cRejected.value();
+    rep.expired = cExpired.value();
+    rep.goodput = cGoodput.value();
     rep.elapsedSec = double(monotonicNowNs() - t0) * 1e-9;
     rep.offeredRate =
         rep.elapsedSec > 0 ? double(rep.scheduled) / rep.elapsedSec

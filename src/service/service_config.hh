@@ -63,9 +63,6 @@ struct MutationConfig
      *  published with one epoch-protected pointer swap — readers
      *  see the old or the new array, never a partial rehash. */
     double rebuildLoadFactor = 0.75;
-    /** Hard cap on one shard's bucket count (0 = no cap): stops
-     *  watermark-triggered regrowth, not mutation itself. */
-    u64 maxShardBuckets = 0;
 };
 
 /** Construction-time description of an IndexService. */
@@ -121,7 +118,7 @@ struct ServiceConfig
      * queues, shedding over-budget submissions with
      * Status::Rejected so queue-wait p99 tracks
      * `admission.targetQueueP99Ns` instead of growing without bound
-     * under overload. Forces recordLatency on. */
+     * under overload. */
     AdmissionConfig admission{};
     /**
      * Static bound on keys parked in the admission queues
@@ -144,16 +141,6 @@ struct ServiceConfig
     /** How long one window drain may run before the watchdog calls
      *  the walker stalled. */
     u64 stallThresholdNs = 100'000'000;
-    /**
-     * Record per-request latency: submit() and the first window
-     * claim are timestamped, finalize feeds the deltas into
-     * lock-light log-bucketed histograms with a per-kind
-     * (probe/count/join) and per-component (end-to-end / queue-wait
-     * / drain-time) breakdown, exposed via ServiceStats. Costs ~3
-     * steady_clock reads per request plus a few relaxed atomic
-     * increments at finalize — off buys those back for pure
-     * throughput runs. */
-    bool recordLatency = true;
     /**
      * Hardware-counter sampling cadence: every Nth window drain per
      * walker runs inside an obs::PerfGroup (cycles / instructions /

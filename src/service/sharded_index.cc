@@ -176,16 +176,10 @@ ShardedIndex::applyMutations(MutOp op, std::span<const u64> keys,
         // Load-factor watermark: regrow 2x and publish by epoch
         // swap. Checked after the batch so one rebuild absorbs the
         // whole burst.
-        if (op != MutOp::Delete && mut_.rebuildLoadFactor > 0) {
-            const u64 nb = cur->numBuckets();
-            const bool capped =
-                mut_.maxShardBuckets != 0 &&
-                nb * 2 > mut_.maxShardBuckets;
-            if (!capped &&
-                double(cur->entries()) >
-                    mut_.rebuildLoadFactor * double(nb))
-                rebuildShard(s, cur);
-        }
+        if (op != MutOp::Delete && mut_.rebuildLoadFactor > 0 &&
+            double(cur->entries()) >
+                mut_.rebuildLoadFactor * double(cur->numBuckets()))
+            rebuildShard(s, cur);
 
         drainLimbo(s, owned_[s].get());
     }

@@ -12,7 +12,9 @@
  *    HashIndex::probeBatch reference — bad timing never changes
  *    answers;
  *  - the watchdog reports the stall (counter + log), and the rest
- *    of the pool keeps serving traffic around the stuck walker.
+ *    of the pool keeps serving traffic around the stuck walker;
+ *  - the TCP front-end accounts every submission it made, even when
+ *    it is stopped halfway through parsing a pipelined burst.
  *
  * The whole suite skips itself unless the build compiled the
  * failpoints in (-DWIDX_FAILPOINTS=ON — the CI chaos job).
@@ -30,6 +32,8 @@
 #include "common/failpoint.hh"
 #include "common/rng.hh"
 #include "db/hash_join.hh"
+#include "net/client.hh"
+#include "net/server.hh"
 #include "obs/metrics.hh"
 #include "service/index_service.hh"
 #include "workload/distributions.hh"
@@ -426,4 +430,43 @@ TEST_F(ChaosTest, FrozenRebuildPublishNeverDisturbsProbes)
         service.submit(RequestKind::Count, witness).get();
     ASSERT_EQ(after.status, Status::Ok);
     EXPECT_EQ(after.matches, wantMatches);
+}
+
+// ---------------------------------------------------------------------------
+// TCP front-end
+// ---------------------------------------------------------------------------
+
+TEST_F(ChaosTest, ServerStopMidBurstReapsEverySubmission)
+{
+    // stop() raises the stop flag before it joins the event loop,
+    // and the loop finishes the pipelined burst it is parsing: here
+    // 1 ms a frame. A reaper that exits on the flag with nothing
+    // outstanding leaves the rest of the burst unreaped — leaked
+    // requests that count as neither a response nor a drop. It
+    // must reap until the loop has joined.
+    Dataset d(1u << 14, 1u << 15, 71);
+    ServiceConfig cfg;
+    cfg.walkers = 1;
+    IndexService service(*d.flat, cfg);
+    net::TcpIndexServer server(service);
+    net::TcpIndexClient client("127.0.0.1", server.port());
+
+    constexpr std::size_t kReqs = 256;
+    fp::arm("net.frame_delay", kReqs, 1'000'000);
+    for (std::size_t i = 0; i < kReqs; ++i)
+        client.submitAsync(RequestKind::Count,
+                           {d.keys.data() + 64 * (i % 128), 64}, 0,
+                           i);
+    for (int tries = 0; server.stats().requests == 0 && tries < 20000;
+         ++tries)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    server.stop();
+
+    const net::TcpServerStats st = server.stats();
+    EXPECT_GE(st.requests, 1u);
+    // The Hello adds a response only if it was read before the stop.
+    EXPECT_GE(st.responses + st.droppedResponses, st.requests)
+        << st.requests << " submitted, " << st.responses
+        << " answered, " << st.droppedResponses << " dropped";
+    client.close();
 }

@@ -6,17 +6,27 @@
  * torn-read safety under concurrent writers (the TSan job runs this
  * suite), chrome://tracing JSON structure, PerfGroup on both the
  * real-perf and degraded paths (zeros, never garbage), the
- * registry-backed open-loop report, and the end-to-end TCP stats
- * scrape + trace-span path through a live server.
+ * registry-backed open-loop report, the end-to-end TCP stats
+ * scrape + trace-span path through a live server, and the one-source
+ * contract: stats() and the scrape read the same counter cells, and
+ * no series is exported twice.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "common/arena.hh"
 #include "common/rng.hh"
@@ -56,6 +66,26 @@ struct Dataset
         keys = wl::uniformKeys(probes, tuples / 2 + 1, rng);
     }
 };
+
+/** Series (family name plus label set) that a snapshot holds more
+ *  than once. snapshot() merges same-name families, so a fact kept
+ *  both in a handle and in a collector shows up exactly this way. */
+std::vector<std::string>
+duplicateSeries(const obs::Snapshot &snap)
+{
+    std::vector<std::string> dups;
+    for (const obs::Family &f : snap) {
+        for (std::size_t i = 1; i < f.samples.size(); ++i) {
+            if (f.samples[i].labels != f.samples[i - 1].labels)
+                continue;
+            std::string series = f.name;
+            for (const auto &[k, v] : f.samples[i].labels)
+                series += " " + k + "=" + v;
+            dups.push_back(series);
+        }
+    }
+    return dups;
+}
 
 } // namespace
 
@@ -313,7 +343,7 @@ TEST(ServiceObs, RegistryExportsServiceFamilies)
     EXPECT_GE(obs::snapshotValue(snap, "widx_walker_windows_total",
                                  {{"walker", "1"}}, -1.0),
               0.0);
-    // recordLatency defaults on: the latency histogram family is
+    // The latency board is always on: the histogram family is
     // present and internally cumulative.
     bool sawHist = false;
     for (const obs::Family &f : snap) {
@@ -334,6 +364,83 @@ TEST(ServiceObs, RegistryExportsServiceFamilies)
         obs::MetricsRegistry::renderPrometheus(snap);
     ASSERT_FALSE(text.empty());
     EXPECT_EQ(text.back(), '\n');
+}
+
+TEST(ServiceObs, StatsAndScrapeAgreeUnderEveryOutcome)
+{
+    Dataset d(2000, 2048, 43);
+    ServiceConfig cfg;
+    cfg.walkers = 1;
+    cfg.maxQueuedKeys = 64;
+    IndexService service(*d.flat, cfg);
+    obs::MetricsRegistry reg;
+    service.registerMetrics(reg);
+    const std::span<const u64> keys{d.keys.data(), 64};
+
+    // Ok: the only walker completes this request, then parks in its
+    // callback until released, so what follows stays queued.
+    std::promise<void> parked, release;
+    std::shared_future<void> go = release.get_future().share();
+    Status okStatus = Status::Cancelled;
+    service.submitAsync(RequestKind::Count, keys, {},
+                        [&, go](ServiceResult &&r) {
+                            okStatus = r.status;
+                            parked.set_value();
+                            go.wait();
+                        });
+    parked.get_future().wait();
+    EXPECT_EQ(okStatus, Status::Ok);
+
+    // Admitted and queued behind the parked walker; its 64 keys fill
+    // the queue to maxQueuedKeys, so the next submission bounces.
+    ResultTicket queued = service.submit(RequestKind::Count, keys);
+    EXPECT_EQ(service.submit(RequestKind::Count, keys).get().status,
+              Status::Rejected);
+    SubmitOptions past;
+    past.deadlineNs = 1;
+    EXPECT_EQ(service.submit(RequestKind::Count, keys, past).get().status,
+              Status::DeadlineExceeded);
+    // stop() cancels the queued window before it joins the parked
+    // walker: run it aside, and release the walker once the queued
+    // ticket has completed.
+    std::thread stopper([&] { service.stop(); });
+    EXPECT_EQ(queued.get().status, Status::Cancelled);
+    release.set_value();
+    stopper.join();
+
+    const ServiceStats s = service.stats();
+    EXPECT_EQ(s.completedOk, 1u);
+    EXPECT_EQ(s.rejected, 1u);
+    EXPECT_EQ(s.expired, 1u);
+    EXPECT_EQ(s.cancelled, 1u);
+    EXPECT_EQ(s.requests,
+              s.completedOk + s.rejected + s.expired + s.cancelled);
+
+    // Every ServiceStats counter is a view of its scrape sample.
+    const obs::Snapshot snap = reg.snapshot();
+    auto scraped = [&](const char *name, const obs::Labels &l = {}) {
+        return obs::snapshotValue(snap, name, l, -1.0);
+    };
+    auto outcome = [&](const char *status) {
+        return scraped("widx_service_requests_completed_total",
+                       {{"status", status}});
+    };
+    EXPECT_EQ(double(s.requests), scraped("widx_service_requests_total"));
+    EXPECT_EQ(double(s.keys), scraped("widx_service_keys_total"));
+    EXPECT_EQ(double(s.windows), scraped("widx_service_windows_total"));
+    EXPECT_EQ(double(s.windows),
+              scraped("widx_walker_windows_total", {{"walker", "0"}}));
+    EXPECT_EQ(double(s.coalescedWindows),
+              scraped("widx_service_windows_coalesced_total"));
+    EXPECT_EQ(double(s.completedOk), outcome("ok"));
+    EXPECT_EQ(double(s.rejected), outcome("rejected"));
+    EXPECT_EQ(double(s.expired), outcome("expired"));
+    EXPECT_EQ(double(s.cancelled), outcome("cancelled"));
+    EXPECT_EQ(double(s.walkerStalls),
+              scraped("widx_service_walker_stalls_total"));
+    EXPECT_EQ(double(s.liveRequests),
+              scraped("widx_service_live_requests"));
+    EXPECT_TRUE(duplicateSeries(snap).empty());
 }
 
 TEST(ServiceObs, TraceSpansCoverTheRequestLifecycle)
@@ -447,6 +554,119 @@ TEST(NetObs, StatsScrapeAndReapSpanOverTheWire)
     EXPECT_EQ(server.stats().requests, 1u);
     EXPECT_EQ(server.stats().statsScrapes, 2u);
     EXPECT_EQ(server.stats().protocolErrors, 0u);
+}
+
+TEST(NetObs, TcpStatsMatchTheNetFamilies)
+{
+    Dataset d(2000, 2048, 47);
+    ServiceConfig cfg;
+    cfg.walkers = 2;
+    IndexService service(*d.flat, cfg);
+    obs::MetricsRegistry reg;
+    service.registerMetrics(reg);
+    net::TcpServerOptions sopt;
+    sopt.metrics = &reg;
+    net::TcpIndexServer server(service, sopt);
+
+    // A short session: four calls and one scrape, then a raw
+    // connection whose first frame is too short to hold a header.
+    {
+        net::TcpIndexClient client("127.0.0.1", server.port());
+        for (std::size_t i = 0; i < 4; ++i)
+            ASSERT_EQ(client
+                          .call(RequestKind::Count,
+                                {d.keys.data() + 64 * i, 64})
+                          .status,
+                      Status::Ok);
+        ASSERT_FALSE(client.stats().empty());
+        client.close();
+    }
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    const u8 runt[5] = {1, 0, 0, 0, 0}; // length 1, then one byte
+    ASSERT_EQ(::send(fd, runt, sizeof(runt), MSG_NOSIGNAL),
+              ssize_t(sizeof(runt)));
+    for (int tries = 0; server.stats().closed < 2 && tries < 2500;
+         ++tries)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ::close(fd);
+
+    const net::TcpServerStats st = server.stats();
+    EXPECT_EQ(st.accepted, 2u);
+    EXPECT_EQ(st.closed, 2u);
+    EXPECT_EQ(st.requests, 4u);
+    EXPECT_EQ(st.responses, 6u); // + the Hello and the scrape
+    EXPECT_EQ(st.droppedResponses, 0u);
+    EXPECT_EQ(st.protocolErrors, 1u);
+    EXPECT_EQ(st.statsScrapes, 1u);
+
+    // Every TcpServerStats counter is a view of its scrape sample.
+    const obs::Snapshot snap = reg.snapshot();
+    auto scraped = [&](const char *name) {
+        return obs::snapshotValue(snap, name, {}, -1.0);
+    };
+    EXPECT_EQ(double(st.accepted),
+              scraped("widx_net_connections_accepted_total"));
+    EXPECT_EQ(double(st.closed),
+              scraped("widx_net_connections_closed_total"));
+    EXPECT_EQ(double(st.requests), scraped("widx_net_requests_total"));
+    EXPECT_EQ(double(st.responses), scraped("widx_net_responses_total"));
+    EXPECT_EQ(double(st.droppedResponses),
+              scraped("widx_net_dropped_responses_total"));
+    EXPECT_EQ(double(st.protocolErrors),
+              scraped("widx_net_protocol_errors_total"));
+    EXPECT_EQ(double(st.statsScrapes),
+              scraped("widx_net_stats_scrapes_total"));
+    server.stop();
+}
+
+TEST(NetObs, ServerAndServiceExportEachSeriesOnce)
+{
+    // Every optional family on: watchdog, perf sampling, adaptive
+    // admission, mutation, and a server sharing the registry.
+    Dataset d(2000, 2048, 53);
+    ServiceConfig cfg;
+    cfg.walkers = 2;
+    cfg.shards = 2;
+    cfg.watchdogPeriodNs = 5'000'000;
+    cfg.perfSamplePeriod = 1;
+    cfg.admission.adaptive = true;
+    cfg.mutation.enabled = true;
+    IndexService service(*d.build, d.spec, cfg);
+    obs::MetricsRegistry reg;
+    service.registerMetrics(reg);
+    net::TcpServerOptions sopt;
+    sopt.metrics = &reg;
+    net::TcpIndexServer server(service, sopt);
+
+    ASSERT_EQ(service.probe({d.keys.data(), 256}).status, Status::Ok);
+    const std::vector<u64> fresh = {1u << 30, (1u << 30) + 1};
+    SubmitOptions ins;
+    ins.payloads = fresh;
+    ASSERT_EQ(service.submit(RequestKind::Insert, fresh, ins).get().status,
+              Status::Ok);
+
+    const obs::Snapshot snap = reg.snapshot();
+    for (const char *fam :
+         {"widx_service_requests_total", "widx_walker_cycles_total",
+          "widx_walker_busy_ns", "widx_admission_budget_keys",
+          "widx_mutations_total", "widx_request_latency_ns",
+          "widx_net_responses_total", "widx_net_open_connections"})
+        EXPECT_TRUE(std::any_of(snap.begin(), snap.end(),
+                                [&](const obs::Family &f) {
+                                    return f.name == fam;
+                                }))
+            << fam;
+    const std::vector<std::string> dups = duplicateSeries(snap);
+    EXPECT_TRUE(dups.empty()) << dups.front();
+    server.stop();
 }
 
 TEST(OpenLoopObs, ReportIsFilledFromTheRegistrySnapshot)

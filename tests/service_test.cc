@@ -837,19 +837,6 @@ TEST(IndexService, LatencyComponentsAddUpExactly)
     EXPECT_GT(after.requests, 0u);
 }
 
-TEST(IndexService, LatencyRecordingCanBeDisabled)
-{
-    Dataset d(512, 256, false, 0.0, 41);
-    ServiceConfig cfg;
-    cfg.recordLatency = false;
-    IndexService service(*d.flat, cfg);
-    ServiceResult r = service.probe(d.keys);
-    EXPECT_GT(r.completedAtNs, 0u); // completion stamp stays
-    const ServiceStats s = service.stats();
-    EXPECT_EQ(s.latencyFor(RequestKind::Probe).endToEnd.count, 0u);
-    EXPECT_EQ(s.latencyFor(RequestKind::Probe).endToEnd.maxNs, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Skewed shard traffic
 // ---------------------------------------------------------------------------
@@ -1377,7 +1364,7 @@ TEST(IndexService, AdaptiveAdmissionAdjustsUnderOverload)
     EXPECT_GT(s.admission.decreases, 0u);
     EXPECT_GE(s.admission.holdKeys, 1u);
     EXPECT_GE(s.admission.budgetKeys,
-              cfg.admission.minBudgetKeys);
+              AdmissionController::kMinBudgetKeys);
 }
 
 TEST(IndexService, WatchdogStaysQuietOnHealthyTraffic)

@@ -15,11 +15,16 @@
  * Validation is structural, not schema-bound: every non-comment line
  * must parse as `name{labels} value`, every sample must belong to a
  * family announced by a preceding `# TYPE`, histogram families must
- * close with a `+Inf` bucket and monotone cumulative counts, and at
- * least one `widx_`-prefixed family must be present. New metrics
- * never break the tool; format regressions always do.
+ * close with a `+Inf` bucket and monotone cumulative counts, no
+ * series (sample name plus label set) may appear twice, and at
+ * least one `widx_`-prefixed family must be present. A repeated
+ * series is a fact exported twice: the registry merges same-name
+ * families, so a counter kept both in a handle and in a collector
+ * shows up exactly that way. New metrics never break the tool;
+ * format regressions always do.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +32,8 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "net/client.hh"
@@ -51,13 +58,16 @@ validName(std::string_view s)
 }
 
 /** Parse one sample line; returns false on any structural violation.
- *  On success `name` is the sample name and `le`/`hasLe` carry a
- *  histogram bucket bound, `value` the sample value. */
+ *  On success `name` is the sample name, `series` the name plus the
+ *  label set in canonical (sorted) form, `le`/`hasLe` carry a
+ *  histogram bucket bound, and `value` the sample value. */
 bool
 parseSampleLine(const std::string &line, std::string &name,
-                bool &hasLe, double &le, double &value)
+                std::string &series, bool &hasLe, double &le,
+                double &value)
 {
     hasLe = false;
+    std::vector<std::pair<std::string, std::string>> labels;
     std::size_t i = 0;
     while (i < line.size() && line[i] != '{' && line[i] != ' ')
         ++i;
@@ -93,6 +103,9 @@ parseSampleLine(const std::string &line, std::string &name,
                          ? std::numeric_limits<double>::infinity()
                          : std::strtod(lval.c_str(), nullptr);
             }
+            // Keyed by the value as written (still escaped), so two
+            // distinct values can never collide.
+            labels.emplace_back(lname, line.substr(eq + 2, j - eq - 2));
             ++j; // closing quote
             if (j < line.size() && line[j] == ',')
                 ++j;
@@ -104,6 +117,10 @@ parseSampleLine(const std::string &line, std::string &name,
     }
     if (i >= line.size() || line[i] != ' ')
         return false;
+    std::sort(labels.begin(), labels.end());
+    series = name;
+    for (const auto &[k, v] : labels)
+        series += "\n" + k + "=" + v; // no line holds a raw '\n'
     const char *start = line.c_str() + i + 1;
     char *end = nullptr;
     value = std::strtod(start, &end);
@@ -127,6 +144,7 @@ validateExposition(const std::string &text)
     double prevLe = 0;
     double prevCum = 0;
     bool inBuckets = false;
+    std::unordered_set<std::string> seen; // series already sampled
 
     std::size_t pos = 0;
     unsigned lineNo = 0;
@@ -167,13 +185,15 @@ validateExposition(const std::string &text)
             continue;
         }
 
-        std::string name;
+        std::string name, series;
         bool hasLe = false;
         double le = 0, value = 0;
-        if (!parseSampleLine(line, name, hasLe, le, value))
+        if (!parseSampleLine(line, name, series, hasLe, le, value))
             return fail("unparsable sample");
         if (family.empty())
             return fail("sample before any # TYPE");
+        if (!seen.insert(series).second)
+            return fail("series exported twice");
 
         if (type == "histogram") {
             if (name == family + "_bucket") {
