@@ -8,8 +8,7 @@
  *
  * Walks through the service API:
  *   1. load a build relation into a column;
- *   2. start an IndexService owning 4 hash-range shards placed by
- *      the host topology (NodeBound first-touch builds), with 4
+ *   2. start an IndexService owning 4 hash-range shards, with 4
  *      persistent walker threads parked between requests, any of
  *      which drains the next dispatch window;
  *   3. fire closed-loop clients that submit small probe / count /
@@ -111,18 +110,13 @@ main(int argc, char **argv)
     std::vector<u64> probePool = wl::uniformKeys(1u << 20, tuples, rng);
 
     // 2. Service: 4 hash-range shards (each with its own bucket+tag
-    //    arena, first-touched on its target node), 4 walkers parked
-    //    on a condvar between requests.
-    const Topology &topo = Topology::host();
-    std::printf("topology: %u node(s), %u usable CPU(s)\n",
-                topo.nodes(), topo.cpus());
+    //    arena), 4 walkers parked on a condvar between requests.
     db::IndexSpec ispec;
     ispec.buckets = tuples;
     ispec.hashFn = db::HashFn::monetdbRobust();
     sw::ServiceConfig cfg;
     cfg.shards = 4;
     cfg.walkers = 4;
-    cfg.numa = sw::NumaPolicy::NodeBound;
     // Observability: hardware-counter sampling every 32nd window
     // (degrades to zeros where perf is denied) and a span-trace
     // ring shared with the TCP server's reaper.
@@ -171,20 +165,21 @@ main(int argc, char **argv)
     if (servePort >= 0) {
         // Serve-only mode for scrapers: the TCP front-end with the
         // shared registry and trace ring, parked until a signal.
-        net::TcpServerOptions sopt;
-        sopt.port = u16(servePort);
-        sopt.metrics = &registry;
-        sopt.trace = trace;
-        net::TcpIndexServer server(service, sopt);
-        // One warm-up probe so a scrape of a fresh server already
-        // carries latency samples (idle request kinds stay out of
-        // the exposition) and the trace ring has a spanned request.
+        // One warm-up probe first, so that from the moment the port
+        // accepts, a scrape carries latency samples (idle request
+        // kinds stay out of the exposition) and the trace ring has a
+        // spanned request.
         sw::SubmitOptions warmOpt;
         warmOpt.traceId = 0x3e41;
         service
             .submit(sw::RequestKind::Probe,
                     {probePool.data(), 256}, warmOpt)
             .get();
+        net::TcpServerOptions sopt;
+        sopt.port = u16(servePort);
+        sopt.metrics = &registry;
+        sopt.trace = trace;
+        net::TcpIndexServer server(service, sopt);
         std::signal(SIGINT, [](int) { g_interrupted.store(true); });
         std::signal(SIGTERM, [](int) { g_interrupted.store(true); });
         std::printf("serving on 127.0.0.1:%u (scrape with "

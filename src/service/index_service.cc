@@ -344,9 +344,7 @@ IndexService::IndexService(const db::HashIndex &index,
 IndexService::IndexService(const db::Column &buildKeys,
                            const db::IndexSpec &spec,
                            const ServiceConfig &cfg)
-    : index_(buildKeys, spec, cfg.shards, cfg.numa,
-             cfg.pinWalkers, nullptr, cfg.mutation),
-      cfg_(cfg)
+    : index_(buildKeys, spec, cfg.shards, cfg.mutation), cfg_(cfg)
 {
     start();
 }
@@ -763,8 +761,6 @@ IndexService::admit(std::shared_ptr<detail::ServiceRequest> req,
 void
 IndexService::walkerMain(unsigned w)
 {
-    if (cfg_.pinWalkers)
-        pinCurrentThread(w); // folded over the usable CPUs
     // Hardware-counter sampling: a per-thread perf event group,
     // started/stopped around every Nth window drain. Opened on this
     // thread so the group counts this walker; where perf access is

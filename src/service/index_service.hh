@@ -11,14 +11,13 @@
  *
  *  - **Shards.** The service owns a ShardedIndex: the bucket+tag
  *    space hash-range-partitioned into S per-arena shards (shard
- *    selector folded into the bucket indexing, FirstTouch or
- *    topology-aware NodeBound placement), or a single-shard view of
- *    an existing HashIndex.
+ *    selector folded into the bucket indexing, built in one pass
+ *    over the key column), or a single-shard view of an existing
+ *    HashIndex.
  *
  *  - **Persistent walkers.** K walker threads are spawned once and
  *    park on a condvar between requests — no per-call thread spawn
- *    or join. Optional CPU pinning, slot-folded over the usable
- *    CPUs.
+ *    or join.
  *
  *  - **Submission / completion.** The core surface is asynchronous:
  *    clients submitAsync(kind, keys, opts, sink) from any thread

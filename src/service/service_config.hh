@@ -20,29 +20,6 @@ class TraceRing; // obs/trace.hh; kept opaque so this stays a leaf
 
 namespace widx::sw {
 
-/** Shard arena placement policy. */
-enum class NumaPolicy
-{
-    /** Build every shard on the constructing thread (all arenas
-     *  first-touched on its node). */
-    None,
-    /** Build each shard on its own thread so the OS first-touch
-     *  policy spreads the shard arenas across nodes (and the build
-     *  parallelizes); when walker pinning is on, shard build
-     *  threads are pinned round-robin over the host's *usable* CPUs
-     *  (Topology::host() — the affinity mask is honored). Explicit
-     *  node binding (libnuma) is deliberately not a dependency —
-     *  see src/service/README.md. */
-    FirstTouch,
-    /** Topology-aware first touch: each shard is assigned a target
-     *  node (Topology::nodeForSlot block distribution) and its
-     *  build thread is pinned to a CPU *on that node*, so the
-     *  arena's pages are first-touched on that node. Build threads
-     *  are always pinned under this policy (pinning is the
-     *  point). */
-    NodeBound,
-};
-
 /**
  * Live-mutation knobs: the writer path that coexists with the
  * always-on walkers (see src/service/README.md and
@@ -52,7 +29,8 @@ enum class NumaPolicy
  */
 struct MutationConfig
 {
-    /** Accept Insert/Delete/Upsert request kinds. Each shard gets a
+    /** Accept Insert/Delete/Upsert request kinds; the one switch
+     *  that builds the shards live. Each shard gets a
      *  single-writer mutex (probes stay lock-free; mutations to
      *  different shards run concurrently) plus epoch-based
      *  reclamation for erased nodes and replaced bucket arrays. */
@@ -93,13 +71,6 @@ struct ServiceConfig
      *  turns the filter on or off per window. `walkers` here is
      *  ignored — the service's own walker count rules. */
     PipelineConfig pipeline{};
-    /** Pin walker threads round-robin over the usable CPUs
-     *  (pinCurrentThread: walker w takes the w-th usable CPU,
-     *  folded). With FirstTouch placement it also pins the shard
-     *  build threads the same way. */
-    bool pinWalkers = false;
-    /** Shard arena placement (see NumaPolicy). */
-    NumaPolicy numa = NumaPolicy::None;
     /**
      * Coalesce sub-chunk request tails into shared open dispatch
      * windows (admission batching — the walkers design's central

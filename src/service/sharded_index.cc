@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "common/bitops.hh"
 #include "common/failpoint.hh"
@@ -22,15 +21,13 @@ ShardedIndex::ShardedIndex(const db::HashIndex &index)
 
 ShardedIndex::ShardedIndex(const db::Column &keys,
                            const db::IndexSpec &spec, unsigned shards,
-                           NumaPolicy numa, bool pinBuilders,
-                           const Topology *topo,
                            const MutationConfig &mut)
 {
     const u64 total = nextPowerOfTwo(std::max<u64>(spec.buckets, 1));
     u64 s = nextPowerOfTwo(std::max<u64>(shards, 1));
     s = std::min<u64>(s, std::min<u64>(kMaxShards, total));
 
-    live_ = mut.enabled || spec.live;
+    live_ = mut.enabled;
     mut_ = mut;
     fatal_if(live_ && spec.indirectKeys,
              "live mutation requires the direct key layout");
@@ -47,59 +44,22 @@ ShardedIndex::ShardedIndex(const db::Column &keys,
     arenas_.resize(std::size_t(s));
     owned_.resize(std::size_t(s));
     shards_.resize(std::size_t(s));
-
-    // Target nodes: shards block-distribute over the nodes, so a
-    // node owns a contiguous hash range. Computed for every policy
-    // (NodeBound places arenas by it; shardNode() reports it).
-    const Topology &t = topo ? *topo : Topology::host();
-    shardNode_.resize(std::size_t(s));
-    for (unsigned sh = 0; sh < s; ++sh)
-        shardNode_[sh] = t.nodeForSlot(sh, unsigned(s));
-
-    // Shard sh owns the keys whose global bucket index falls in its
-    // hash range; duplicates of a key share a hash, so they share a
-    // shard and keep the flat index's per-key chain order.
-    auto buildShard = [&](unsigned sh) {
+    for (unsigned sh = 0; sh < s; ++sh) {
         arenas_[sh] = std::make_unique<Arena>();
-        auto idx =
+        owned_[sh] =
             std::make_unique<db::HashIndex>(shard_spec, *arenas_[sh]);
-        for (RowId r = 0; r < keys.size(); ++r) {
-            const u64 key = keys.at(r);
-            if (shardOf(shard_spec.hashFn(key)) == sh)
-                idx->insert(key, r, keys.addrOf(r));
-        }
-        owned_[sh] = std::move(idx);
         shards_[sh] = owned_[sh].get();
-    };
+    }
 
-    if (numa != NumaPolicy::None && s > 1) {
-        // One build thread per shard: the arena pages are
-        // first-touched where the builder runs. FirstTouch lets the
-        // OS spread them (optionally pinning builders round-robin
-        // over the usable CPUs); NodeBound pins each builder to a
-        // CPU on the shard's target node, cycling within the node
-        // when shards outnumber its CPUs.
-        std::vector<unsigned> nextOnNode(t.nodes(), 0);
-        std::vector<std::thread> builders;
-        builders.reserve(std::size_t(s));
-        for (unsigned sh = 0; sh < s; ++sh) {
-            int cpu = -1;
-            if (numa == NumaPolicy::NodeBound)
-                cpu = int(t.cpuOnNode(shardNode_[sh],
-                                      nextOnNode[shardNode_[sh]]++));
-            builders.emplace_back([&, sh, cpu] {
-                if (cpu >= 0)
-                    pinThreadToCpu(t, unsigned(cpu));
-                else if (pinBuilders)
-                    pinCurrentThread(sh);
-                buildShard(sh);
-            });
-        }
-        for (auto &t_ : builders)
-            t_.join();
-    } else {
-        for (unsigned sh = 0; sh < s; ++sh)
-            buildShard(sh);
+    // One pass in row order: each shard receives its hash range's
+    // rows in the order a flat build inserts them. Duplicates of a
+    // key share a hash, so they share a shard and keep the flat
+    // index's per-key chain order. One shard needs no selector.
+    for (RowId r = 0; r < keys.size(); ++r) {
+        const u64 key = keys.at(r);
+        const unsigned sh =
+            s == 1 ? 0 : shardOf(shard_spec.hashFn(key));
+        owned_[sh]->insert(key, r, keys.addrOf(r));
     }
 
     // Live instances never take the flat fast path, even with one

@@ -12,12 +12,11 @@
  *     shard         = global bucket >> log2(B')   (top bits)
  *     local bucket  = hash & (B' - 1)             (low bits)
  *
- * Each shard is an ordinary db::HashIndex over its own Arena, so
- * shard arenas can be placed independently (NumaPolicy::FirstTouch
- * builds each shard on its own thread and lets the OS first-touch
- * policy spread the pages across memory controllers). Every key —
- * and every duplicate of a key — lands in exactly one shard, so
- * per-key match sets and chain order match the flat index.
+ * Each shard is an ordinary db::HashIndex over its own Arena. The
+ * build walks the key column once, in row order, and inserts each
+ * row into its shard, so every key — and every duplicate of a key —
+ * lands in exactly one shard in the flat build's order: per-key
+ * match sets and chain order match the flat index.
  *
  * The class exposes the same hash-addressed probe surface the
  * interleaved drain is templated on (tagMayMatchHash /
@@ -40,14 +39,13 @@
 #include "common/arena.hh"
 #include "common/epoch.hh"
 #include "common/thread_safety.hh"
-#include "common/topology.hh"
 #include "db/column.hh"
 #include "db/hash_index.hh"
 #include "service/service_config.hh"
 
 namespace widx::sw {
 
-/** Hard cap on shards (thread fan-out at build, sanity). */
+/** Hard cap on shards. */
 inline constexpr unsigned kMaxShards = 64;
 
 /** Writer-path operations (the index-level spelling of the service's
@@ -77,20 +75,11 @@ class ShardedIndex
      *        count across shards (rounded up to a power of two).
      * @param shards shard count; clamped to a power of two in
      *        [1, min(kMaxShards, total buckets)].
-     * @param numa arena placement (see NumaPolicy). NodeBound pins
-     *        each shard's build thread to a CPU on the shard's
-     *        target node (Topology::nodeForSlot), so first-touch
-     *        lands the arena pages on that node.
-     * @param pinBuilders with FirstTouch, pin shard build threads
-     *        round-robin over the usable CPUs (NodeBound always
-     *        pins).
-     * @param topo topology override for tests; null = host.
+     * @param mut live mutation; `mut.enabled` alone makes the
+     *        shards live (spec.live is ignored).
      */
     ShardedIndex(const db::Column &keys, const db::IndexSpec &spec,
-                 unsigned shards, NumaPolicy numa = NumaPolicy::None,
-                 bool pinBuilders = false,
-                 const Topology *topo = nullptr,
-                 const MutationConfig &mut = {});
+                 unsigned shards, const MutationConfig &mut = {});
 
     ShardedIndex(const ShardedIndex &) = delete;
     ShardedIndex &operator=(const ShardedIndex &) = delete;
@@ -113,12 +102,6 @@ class ShardedIndex
     {
         return unsigned((hash >> shardShift_) & shardMask_);
     }
-
-    /** The shard's target NUMA node (block distribution over the
-     *  build topology; 0 for views and single-node hosts). The
-     *  mapping is computed for every placement policy; NodeBound is
-     *  the one that places arena pages by it. */
-    unsigned shardNode(unsigned s) const { return shardNode_[s]; }
 
     // --- Probe surface (hash-addressed; see db/hash_index.hh) ----------
 
@@ -178,11 +161,11 @@ class ShardedIndex
     void
     hashBatch(std::span<const u64> keys, std::span<u64> hashes) const
     {
-        // Deliberately does not touch a shard: unpinned threads
-        // (submitters hashing at admission, writers grouping a
-        // mutation batch) call this while a rebuild may be retiring
-        // the shard a pointer load would land on. The function is a
-        // copy — identical across every rebuild.
+        // Deliberately does not touch a shard: the mutation writer
+        // groups its batch by shard with this, unpinned and before
+        // it takes any shard's lock, while another writer's rebuild
+        // may be retiring the shard a pointer load would land on.
+        // The function is a copy — identical across every rebuild.
         hashFn_.hashBatch(keys, hashes);
     }
 
@@ -323,7 +306,6 @@ class ShardedIndex
     unsigned shardShift_ = 0; ///< log2(per-shard buckets)
     u64 shardMask_ = 0;       ///< shards - 1
     unsigned log2Shards_ = 0; ///< log2(shard count)
-    std::vector<unsigned> shardNode_{0}; ///< target node per shard
     db::HashFn hashFn_{}; ///< shard-free copy for hashBatch
     bool indirect_ = false;
     bool live_ = false;

@@ -382,8 +382,15 @@ TEST(Mutation, ChurnStressReclaimsUnderReaders)
         t.join();
 
     // Epoch hygiene: with no reader pinned, the lag gauge drains to
-    // zero as the next writer advances past the last retire.
-    EXPECT_EQ(ls.service->index().epochs().lag(), 0u);
+    // zero as the next writer advances past the last retire. A
+    // walker delivers a window's results before it unpins, so a
+    // probe can return while its walker is still pinned: wait
+    // (bounded) for the last walker to leave its pin first.
+    const EpochManager &epochs = ls.service->index().epochs();
+    for (int i = 0; i < 10000 && epochs.pinnedReaders() != 0; ++i)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    EXPECT_EQ(epochs.pinnedReaders(), 0u);
+    EXPECT_EQ(epochs.lag(), 0u);
 }
 
 // ---------------------------------------------------------------------------

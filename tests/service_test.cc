@@ -140,48 +140,6 @@ TEST(ShardedIndex, ProbeSurfaceHasNoFalseNegatives)
     }
 }
 
-TEST(ShardedIndex, FirstTouchBuildMatchesSequentialBuild)
-{
-    Dataset d(4000, 2000, true, 0.0, 6);
-    ShardedIndex seq(*d.build, d.spec, 4, NumaPolicy::None);
-    ShardedIndex par(*d.build, d.spec, 4, NumaPolicy::FirstTouch,
-                     true);
-    EXPECT_EQ(par.entries(), seq.entries());
-    for (unsigned s = 0; s < 4; ++s) {
-        EXPECT_EQ(par.shard(s).entries(), seq.shard(s).entries());
-        for (u64 key : d.keys)
-            EXPECT_EQ(par.shard(s).lookup(key),
-                      seq.shard(s).lookup(key));
-    }
-}
-
-TEST(ShardedIndex, NodeBoundBuildMatchesSequentialBuild)
-{
-    // A synthetic 2-node topology: the build must pin each shard's
-    // builder toward its target node (best effort — the fake CPUs
-    // may not exist on the runner) and still produce exactly the
-    // sequential index.
-    const Topology topo = Topology::fromNodes({{0}, {1}});
-    Dataset d(4000, 2000, false, 0.0, 6);
-    ShardedIndex seq(*d.build, d.spec, 4, NumaPolicy::None);
-    ShardedIndex bound(*d.build, d.spec, 4, NumaPolicy::NodeBound,
-                       false, &topo);
-    EXPECT_EQ(bound.entries(), seq.entries());
-    for (unsigned s = 0; s < 4; ++s) {
-        EXPECT_EQ(bound.shard(s).entries(),
-                  seq.shard(s).entries());
-        for (u64 key : d.keys)
-            EXPECT_EQ(bound.shard(s).lookup(key),
-                      seq.shard(s).lookup(key));
-    }
-    // Block distribution over the injected tree: the low shard half
-    // targets node 0, the high half node 1.
-    EXPECT_EQ(bound.shardNode(0), 0u);
-    EXPECT_EQ(bound.shardNode(1), 0u);
-    EXPECT_EQ(bound.shardNode(2), 1u);
-    EXPECT_EQ(bound.shardNode(3), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // IndexService: request equivalence
 // ---------------------------------------------------------------------------
@@ -442,7 +400,6 @@ TEST(IndexService, ServiceWithNoRequestsTearsDownCleanly)
     Dataset d(128, 0, false, 0.0, 9);
     ServiceConfig cfg;
     cfg.walkers = 4;
-    cfg.pinWalkers = true;
     IndexService service(*d.flat, cfg);
     EXPECT_EQ(service.walkers(), 4u);
     // Destructor parks -> joins with zero traffic.
