@@ -6,11 +6,12 @@
  *
  * A second table puts the *measured* software walkers next to the
  * simulated Widx points: an sw::IndexService over the kernel index
- * runs K persistent walker threads (each an AMAC ring of 8 probe
- * machines) draining the dispatch windows of one request stream, so
- * its K-scaling curve is the software analogue of the hardware
- * walker count — compare its K=4/K=1 speedup with the simulated
- * 4-walker/1-walker cycles-per-tuple ratio.
+ * runs K persistent walker threads (each an AMAC ring of
+ * ServiceConfig::width probe machines) draining the dispatch
+ * windows of one request stream, so its K-scaling curve is the
+ * software analogue of the hardware walker count — compare its
+ * K=4/K=1 speedup with the simulated 4-walker/1-walker
+ * cycles-per-tuple ratio.
  */
 
 #include <chrono>

@@ -1,38 +1,24 @@
 /**
  * @file
- * Open-loop tail-latency ladder for the index service: arrival rate
- * x {coalescing on/off}, Poisson arrivals (plus bursty and uniform
- * reference rows), per-request percentiles measured from *scheduled*
- * arrival time so coordinated omission cannot hide stalls (see
- * src/service/open_loop.hh).
+ * Overload ladder for the index service: three admission modes
+ * (static coalesce, static immediate, adaptive SLO-driven — see
+ * src/service/admission.hh) driven open-loop at ~4x the measured
+ * saturation rate with per-request deadlines and a goodput SLO,
+ * scoring how much *useful* work each mode completes when the
+ * offered load cannot possibly be served. Percentiles are measured
+ * from *scheduled* arrival time so coordinated omission cannot hide
+ * stalls (see src/service/open_loop.hh).
  *
- * An overload ladder rides along: three admission modes (static
- * coalesce, static immediate, adaptive SLO-driven — see
- * src/service/admission.hh) driven at ~4x the measured saturation
- * rate with per-request deadlines and a goodput SLO, scoring how
- * much *useful* work each mode completes when the offered load
- * cannot possibly be served.
- *
- *   $ ./latency_bench [--smoke] [--out=PATH]
+ *   $ ./latency_bench [--smoke] [--repeat=N] [--out=PATH]
  *
  * Results land in BENCH_latency.json (google-benchmark-compatible
- * JSON, extended with p50_ns/p99_ns/... fields) so
- * tools/bench_regression.py can schema-validate and gate the
- * percentile rows next to the throughput kernels. Row names carry
- * the walker count (K:) so the gate's small-runner skip rule
- * applies.
- *
- * Each row also splits the service-side view into queue-wait vs
- * drain-time means (from ServiceStats), which is what attributes
- * coalescing delay: with coalescing on, a tail that waits for
- * co-runners accrues the hold in queue-wait while drain-time stays
- * flat.
+ * JSON, extended with goodput and p50_ns/p99_ns/... fields) so
+ * tools/bench_regression.py can schema-validate the rows and gate
+ * their goodput.
  *
  * NOTE: on a single-core host the generator, reaper, and walker
- * time-share one CPU, so absolute percentiles are pessimistic; the
- * rate ladder's *shape* (flat, then a knee at saturation) and the
- * coalescing deltas remain meaningful, and the CI gate
- * normalizes by the host factor.
+ * time-share one CPU; the overload rate follows the saturation the
+ * same run measures, so goodput fractions stay comparable.
  */
 
 #include <cstdio>
@@ -83,8 +69,7 @@ main(int argc, char **argv)
         repeat = 3;
 
     // Dataset: L2-resident in smoke mode (CI runners, fast build),
-    // larger for the committed ladder. Unique dense keys, uniform
-    // probe draws.
+    // 1M tuples otherwise. Unique dense keys, uniform probe draws.
     const u64 tuples = smoke ? u64(64) << 10 : u64(1) << 20;
     Arena arena;
     Rng rng(42);
@@ -96,29 +81,18 @@ main(int argc, char **argv)
     spec.hashFn = db::HashFn::monetdbRobust();
     std::vector<u64> pool = wl::uniformKeys(1u << 20, tuples, rng);
 
-    // The ladder. The lowest rate doubles as the CI gate row (low
-    // utilization on any runner: queueing is minimal, so the number
-    // is a stable service-time floor rather than a saturation
-    // measurement).
-    const std::vector<double> rates =
-        smoke ? std::vector<double>{2000.0, 8000.0}
-              : std::vector<double>{2000.0, 8000.0, 20000.0,
-                                    50000.0};
-    const u64 requests = smoke ? 1200 : 4000;
-
     std::vector<OlRow> rows;
 
     // Best-of-N row runner: each attempt is a full open-loop run;
-    // keep the attempt with the lowest p99. Open-loop percentiles
-    // on shared (and single-core) runners carry multi-ms scheduler
+    // keep the attempt with the highest goodput. Open-loop runs on
+    // shared (and single-core) runners carry multi-ms scheduler
     // spikes that have nothing to do with the service under test;
     // the least-polluted attempt is the reproducible one, which is
     // what a regression gate needs (same spirit as google-benchmark
     // min-of-repetitions).
     auto runRow = [&](sw::IndexService &service,
                       const std::string &rowName,
-                      sw::OpenLoopOptions opt,
-                      bool byGoodput = false) {
+                      sw::OpenLoopOptions opt) {
         OlRow best;
         for (int r = 0; r < repeat; ++r) {
             service.resetLatencyStats();
@@ -126,14 +100,7 @@ main(int argc, char **argv)
             sw::OpenLoopReport rep = runOpenLoop(service, pool, opt);
             sw::KindLatency svc =
                 service.stats().latencyFor(opt.kind);
-            // Overload rows select by goodput (their entire point;
-            // p99 over Ok-only completions is meaningless when a
-            // mode sheds almost everything), latency rows by p99.
-            const bool better =
-                byGoodput ? rep.goodput > best.rep.goodput
-                          : rep.latency.p99Ns <
-                                best.rep.latency.p99Ns;
-            if (r == 0 || better)
+            if (r == 0 || rep.goodput > best.rep.goodput)
                 best = OlRow{rowName, std::move(rep), svc};
         }
         rows.push_back(std::move(best));
@@ -151,49 +118,6 @@ main(int argc, char **argv)
                     (unsigned long long)r.rep.expired);
     };
 
-    char name[160];
-    for (int coalesce : {1, 0}) {
-        sw::ServiceConfig cfg;
-        cfg.shards = 4;
-        cfg.walkers = 1; // the portable row (see file note)
-        cfg.coalesceTails = coalesce != 0;
-        sw::IndexService service(build, spec, cfg);
-        for (double rate : rates) {
-            sw::OpenLoopOptions opt;
-            opt.ratePerSec = rate;
-            opt.requests = requests;
-            opt.keysPerRequest = kKeysPerRequest;
-            opt.arrivals = sw::ArrivalProcess::Poisson;
-            std::snprintf(name, sizeof(name),
-                          "OL_Latency/coalesce:%d/K:1/rate:%d",
-                          coalesce, int(rate));
-            runRow(service, name, opt);
-        }
-    }
-
-    // Arrival-process reference rows at the mid rate, default
-    // shape: deterministic pacing vs the bursty on-off train whose
-    // bursts are what admission coalescing feeds on.
-    {
-        sw::ServiceConfig cfg;
-        cfg.shards = 4;
-        cfg.walkers = 1;
-        sw::IndexService service(build, spec, cfg);
-        for (auto [proc, tag] :
-             {std::pair{sw::ArrivalProcess::Uniform, "uniform"},
-              std::pair{sw::ArrivalProcess::OnOff, "onoff"}}) {
-            sw::OpenLoopOptions opt;
-            opt.ratePerSec = rates[1];
-            opt.requests = requests;
-            opt.keysPerRequest = kKeysPerRequest;
-            opt.arrivals = proc;
-            std::snprintf(name, sizeof(name),
-                          "OL_Latency/arrivals:%s/K:1/rate:%d", tag,
-                          int(rates[1]));
-            runRow(service, name, opt);
-        }
-    }
-
     // Overload ladder: offered rate ~4x the service's measured
     // saturation throughput, three admission modes. Static coalesce
     // (hold every tail for a full window) and static immediate
@@ -207,6 +131,7 @@ main(int argc, char **argv)
     // host-dependent) so baselines match across runners; the
     // measured rates land in offered_rate/achieved_rate.
     {
+        char name[160];
         const u64 sloNs = 5'000'000;       // 5 ms end-to-end SLO
         const u64 deadlineNs = 10'000'000; // give up past 10 ms
 
@@ -278,7 +203,7 @@ main(int argc, char **argv)
             }
             std::snprintf(name, sizeof(name),
                           "OL_Overload/adm:%s/K:1/rate:4x", m.tag);
-            runRow(service, name, opt, /*byGoodput=*/true);
+            runRow(service, name, opt);
         }
     }
 

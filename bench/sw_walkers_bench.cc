@@ -8,7 +8,7 @@
  * cache misses across probes — the same inter-key parallelism Widx
  * exploits with hardware walkers — and beats the scalar Listing 1
  * loop by integer factors on real hardware. The multi-walker
- * (K-thread) rows live in service_bench.
+ * (K-thread) curve is bench/ablation_walker_scaling.cc.
  *
  * Every prober is measured in pipeline variants: inline vs batched
  * dispatch (arg "batch": 0 = hash each key right before its walk,
@@ -16,16 +16,13 @@
  * buckets (arg "tag"). A miss-heavy key set isolates the tag
  * filter's one-byte reject.
  *
- * Results are also written to BENCH_sw_walkers.json (benchmark's
- * JSON format) unless --benchmark_out is given explicitly, so CI can
- * track the throughput trajectory.
+ * No gate reads these rows: CI's traced bench/e2e smoke gates the
+ * same probeBatch and AMAC kernels (.github/workflows/ci.yml).
  */
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/arena.hh"
@@ -200,28 +197,4 @@ BM_TagFilter(benchmark::State &state)
 }
 BENCHMARK(BM_TagFilter)->ArgNames({"simd"})->Arg(0)->Arg(1);
 
-/** BENCHMARK_MAIN, plus a default JSON results file so the perf
- *  trajectory is machine-readable from every run. */
-int
-main(int argc, char **argv)
-{
-    std::vector<char *> args(argv, argv + argc);
-    std::string out = "--benchmark_out=BENCH_sw_walkers.json";
-    std::string fmt = "--benchmark_out_format=json";
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--benchmark_out") == 0 ||
-            std::strncmp(argv[i], "--benchmark_out=", 16) == 0)
-            has_out = true;
-    if (!has_out) {
-        args.push_back(out.data());
-        args.push_back(fmt.data());
-    }
-    int n = int(args.size());
-    benchmark::Initialize(&n, args.data());
-    if (benchmark::ReportUnrecognizedArguments(n, args.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

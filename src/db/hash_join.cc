@@ -41,26 +41,6 @@ JoinResult
 probeAll(const HashIndex &index, const Column &probe_keys,
          bool materialize, const sw::PipelineConfig &cfg)
 {
-    if (cfg.walkers > 1) {
-        // Multi-walker one-shot: a scoped service instance — the
-        // same persistent-walker machinery long-lived callers hold
-        // onto, constructed and torn down around this single call.
-        // probeSeconds covers the service's thread spawn and join
-        // too: that per-call tax is real for one-shot callers (it's
-        // exactly what holding a service amortizes).
-        auto start = std::chrono::steady_clock::now();
-        JoinResult result;
-        {
-            sw::ServiceConfig scfg;
-            scfg.walkers = cfg.walkers;
-            scfg.pipeline = cfg;
-            sw::IndexService service(index, scfg);
-            result = probeAll(service, probe_keys, materialize);
-        }
-        result.probeSeconds = secondsSince(start);
-        return result;
-    }
-
     JoinResult result;
     const u64 n = probe_keys.size();
     result.probes = n;

@@ -59,15 +59,9 @@ struct JoinResult
  * @param materialize when false, matches are counted but not stored
  *        (large joins in benchmarks).
  * @param cfg probe-pipeline knobs: batch and tagged select the
- *        dispatcher schedule, used as given on one thread;
- *        cfg.walkers > 1 runs the probe phase on a scoped
- *        sw::IndexService (K persistent walker threads serving this
- *        one call, where tagged is only the cold-start default and
- *        the observed reject rate then rules) with matches merged
- *        deterministically — probeBatch order — back onto the
- *        calling thread. Callers probing repeatedly should hold a
- *        service and use the IndexService overload of probeAll
- *        instead, paying the thread-spawn tax once.
+ *        dispatcher schedule, used as given on the calling thread.
+ *        Multi-walker probes go through a sw::IndexService and the
+ *        IndexService overload of probeAll.
  */
 JoinResult hashJoin(const Column &build_keys, const Column &probe_keys,
                     const IndexSpec &spec, Arena &arena,
@@ -77,8 +71,7 @@ JoinResult hashJoin(const Column &build_keys, const Column &probe_keys,
 /**
  * Probe an existing index with every key of a column; the core of
  * Listing 1's do_index. Used by tests and by the host-side Fig. 2
- * measurement. cfg.walkers > 1 probes on a scoped sw::IndexService
- * (see hashJoin).
+ * measurement; runs on the calling thread (see hashJoin).
  */
 JoinResult probeAll(const HashIndex &index, const Column &probe_keys,
                     bool materialize = true,

@@ -604,20 +604,6 @@ IndexService::submitAsync(RequestKind kind,
 void
 IndexService::submitAsync(RequestKind kind,
                           std::span<const u64> keys,
-                          const SubmitOptions &opt,
-                          CompletionQueue &cq, u64 tag)
-{
-    // Non-owning aliasing handle: the caller guarantees the queue
-    // outlives every outstanding completion (see header contract).
-    submitAsync(kind, keys, opt,
-                std::shared_ptr<CompletionQueue>(
-                    std::shared_ptr<void>(), &cq),
-                tag);
-}
-
-void
-IndexService::submitAsync(RequestKind kind,
-                          std::span<const u64> keys,
                           const SubmitOptions &opt, CompletionFn cb)
 {
     fatal_if(!cb, "submitAsync() with an empty callback");

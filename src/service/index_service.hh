@@ -217,11 +217,8 @@ struct Completion
  * out whole), so a reaper never serializes against completions
  * entry by entry.
  *
- * Lifetime: the queue must outlive every request submitted against
- * it. submitAsync's shared_ptr overload makes that automatic (each
- * in-flight request keeps the queue alive); the reference overload
- * leaves it to the caller — reap until every submission has been
- * delivered before destroying the queue.
+ * Lifetime: submitAsync takes the queue by shared_ptr, and each
+ * in-flight request keeps it alive until its completion is pushed.
  */
 class CompletionQueue
 {
@@ -461,18 +458,13 @@ class IndexService
      * for every submission without a separate error channel.
      *
      * Lifetime: the key span must stay valid until the completion
-     * is delivered. The queue must outlive the request — automatic
-     * with the shared_ptr overload (the request holds a reference),
-     * the caller's job with the reference overload. `tag` is
-     * returned verbatim in the reaped Completion; the service never
-     * interprets it.
+     * is delivered. The request holds a reference to `cq`, so the
+     * queue outlives it. `tag` is returned verbatim in the reaped
+     * Completion; the service never interprets it.
      */
     void submitAsync(RequestKind kind, std::span<const u64> keys,
                      const SubmitOptions &opt,
                      std::shared_ptr<CompletionQueue> cq, u64 tag);
-    void submitAsync(RequestKind kind, std::span<const u64> keys,
-                     const SubmitOptions &opt, CompletionQueue &cq,
-                     u64 tag);
     /** Callback form; see CompletionFn for the execution context. */
     void submitAsync(RequestKind kind, std::span<const u64> keys,
                      const SubmitOptions &opt, CompletionFn cb);

@@ -2,11 +2,11 @@
  * @file
  * Open-loop (arrival-rate) load generator for the index service.
  *
- * The closed-loop clients in service_bench submit a request, block
- * on its ticket, and only then submit the next one — so a stalled
- * walker stalls the *generator*, and the requests that would have
- * arrived during the stall (exactly the ones that would have seen
- * the tail latency) are simply never sent. That is coordinated
+ * A closed-loop client submits a request, blocks on its ticket,
+ * and only then submits the next one — so a stalled walker stalls
+ * the *generator*, and the requests that would have arrived during
+ * the stall (exactly the ones that would have seen the tail
+ * latency) are simply never sent. That is coordinated
  * omission, and it makes closed-loop percentile numbers flatter the
  * system under test. The load-generation literature's fix is
  * open-loop injection: arrivals follow an external stochastic

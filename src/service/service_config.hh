@@ -68,8 +68,7 @@ struct ServiceConfig
      *  over the walkers (see IndexService, "Admission batching").
      *  `tagged` is the fingerprint filter's cold-start default;
      *  once enough keys have been swept, the observed reject rate
-     *  turns the filter on or off per window. `walkers` here is
-     *  ignored — the service's own walker count rules. */
+     *  turns the filter on or off per window. */
     PipelineConfig pipeline{};
     /**
      * Coalesce sub-chunk request tails into shared open dispatch
@@ -77,9 +76,8 @@ struct ServiceConfig
      * latency trade: a tail waits for co-runners so drains see
      * full-width windows). Off, every tail seals its own window at
      * admission: no cross-request coalescing, narrower windows,
-     * but a request is never held behind another's traffic. The
-     * open-loop latency bench (bench/latency_bench.cc) sweeps this
-     * axis against arrival rate. */
+     * but a request is never held behind another's traffic. Only
+     * benches and tests turn it off. */
     bool coalesceTails = true;
     /**
      * SLO-driven admission (see admission.hh). With

@@ -34,11 +34,6 @@ struct PipelineConfig
      *  db::TagFilterStats::kMinSampleKeys keys, the observed reject
      *  rate decides per window (see IndexService::drainWindow). */
     bool tagged = true;
-    /** Walker threads; <= 1 keeps every prober on the calling
-     *  thread. Only the db entry points (db::probeAll / hashJoin)
-     *  consult this knob: > 1 runs the call on a scoped
-     *  IndexService with that many walkers. */
-    unsigned walkers = 1;
 };
 
 } // namespace widx::sw

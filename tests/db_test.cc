@@ -17,6 +17,7 @@
 #include "db/plan.hh"
 #include "db/scan.hh"
 #include "db/sort.hh"
+#include "service/index_service.hh"
 
 using namespace widx;
 using namespace widx::db;
@@ -549,7 +550,7 @@ TEST(HashJoin, MatchesNestedLoopOracle)
     EXPECT_EQ(jr.probes, 500u);
 }
 
-TEST(HashJoin, ScopedServiceAgreesWithSingleThread)
+TEST(HashJoin, ServiceProbeAgreesWithSingleThread)
 {
     Rng rng(17);
     Arena arena;
@@ -572,19 +573,21 @@ TEST(HashJoin, ScopedServiceAgreesWithSingleThread)
     };
     const auto refPairs = pairMultiset(ref);
 
+    HashIndex idx(spec, arena);
+    idx.buildFromColumn(build);
     for (unsigned walkers : {2u, 4u})
         for (bool tagged : {false, true}) {
-            sw::PipelineConfig cfg{.tagged = tagged,
-                                   .walkers = walkers};
-            Arena svc_arena;
-            JoinResult jr =
-                hashJoin(build, probe, spec, svc_arena, true, cfg);
+            sw::ServiceConfig cfg;
+            cfg.walkers = walkers;
+            cfg.pipeline.tagged = tagged;
+            sw::IndexService service(idx, cfg);
+            JoinResult jr = probeAll(service, probe, true);
             EXPECT_EQ(jr.matches, ref.matches);
             EXPECT_EQ(pairMultiset(jr), refPairs);
         }
 }
 
-TEST(HashJoin, ScopedServiceWidensNarrowProbeColumns)
+TEST(HashJoin, ServiceProbeWidensNarrowProbeColumns)
 {
     Rng rng(23);
     Arena arena;
@@ -601,8 +604,10 @@ TEST(HashJoin, ScopedServiceWidensNarrowProbeColumns)
     idx.buildFromColumn(build);
 
     JoinResult ref = probeAll(idx, probe, true);
-    sw::PipelineConfig cfg{.walkers = 3};
-    JoinResult got = probeAll(idx, probe, true, cfg);
+    sw::ServiceConfig cfg;
+    cfg.walkers = 3;
+    sw::IndexService service(idx, cfg);
+    JoinResult got = probeAll(service, probe, true);
     EXPECT_EQ(got.matches, ref.matches);
     EXPECT_EQ(got.probes, ref.probes);
 

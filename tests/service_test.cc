@@ -953,7 +953,30 @@ TEST(IndexService, DbProbeAllHonorsBoundedAdmission)
     cfg.walkers = 1;
     cfg.maxQueuedKeys = 2048; // below one slice: shed-heavy
     IndexService service(idx, cfg);
-    db::JoinResult got = db::probeAll(service, probe, true);
+
+    // Park the only walker in a completion callback, so the first
+    // slice stays queued and the next must bounce off the bound
+    // however the submitting thread is scheduled. Release the
+    // walker once a slice has been shed (bounded wait).
+    const std::vector<u64> parkKeys(64, 1);
+    std::promise<void> parked, release;
+    std::shared_future<void> go = release.get_future().share();
+    service.submitAsync(RequestKind::Count, parkKeys, {},
+                        [&, go](ServiceResult &&) {
+                            parked.set_value();
+                            go.wait();
+                        });
+    parked.get_future().wait();
+    db::JoinResult got;
+    std::thread joiner(
+        [&] { got = db::probeAll(service, probe, true); });
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service.stats().rejected == 0 &&
+           std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    release.set_value();
+    joiner.join();
     ASSERT_EQ(got.status, Status::Ok);
     ASSERT_EQ(got.matches, ref.matches);
     ASSERT_EQ(got.pairs.size(), ref.pairs.size());

@@ -1,96 +1,59 @@
 #!/usr/bin/env python3
-"""Bench-regression gate for the CI smoke run.
+"""Overload-goodput gate for latency_bench's smoke run.
 
-Compares google-benchmark JSON results files (the CI smoke runs of
-sw_walkers_bench / service_bench / latency_bench) against the
-committed bench/baseline.json and fails when a pinned kernel
-regresses past its threshold.
+Compares the google-benchmark-shaped JSON that latency_bench writes
+(BENCH_latency.json) against the committed bench/baseline.json and
+fails when a pinned overload row loses goodput.
 
-Two gate families share the run:
+``goodput_pinned``: goodput_fraction from the OL_Overload rows
+(Ok-within-SLO completions / scheduled arrivals, measured at ~4x the
+run's own saturation rate), failing *below*
+``baseline - goodput_noise_floor``. The floor is absolute (fractions
+are already host-normalized: the overload rate scales with the
+runner's measured saturation) and documented in the baseline next to
+the values it pads; the committed 0.05 absorbs best-of-N scheduler
+variance while still catching an admission controller that stopped
+controlling (which collapses the adaptive row to the static rows'
+fraction, a ~0.1 drop). On top of the per-row bound,
+``goodput_dominance`` rules assert the *ordering* the overload
+ladder exists to demonstrate: each rule's winner row must beat every
+row it is pinned against by at least ``margin`` — a relative gate
+that no per-row noise floor can absorb away.
 
-**Throughput** (``pinned``): items_per_second rows, failing below
-``1 - threshold`` (default 25%) of baseline. When the baseline names
-a "reference" kernel, every pinned kernel is gated on its throughput
-*relative to the reference measured in the same run*
-(ratio-of-ratios) so host speed cancels and a slower CI runner can't
-spuriously trip the gate.
-
-**Latency percentiles** (``latency_pinned``): p50_ns / p99_ns fields
-from the open-loop latency rows, failing *above*
-``baseline * hostFactor * (1 + latency-threshold) + noise floor``.
-The threshold is deliberately looser than the throughput gate
-(default 40%): percentiles carry more run-to-run variance than
-means. The additive per-field noise floor
-(``latency_noise_floor_ns``) absorbs the multi-millisecond scheduler
-spikes that shared CI runners inject into tail percentiles — the
-gate still catches order-of-magnitude tail breakage (a lost wakeup,
-a window held forever, an accidental sleep on the submit path),
-which is the regression class a time-shared runner can reliably
-detect. Absolute tail comparisons belong to dedicated hardware and
-the committed BENCH_latency.json ladder. The host factor multiplies
-(not divides): a runner with half the reference throughput is
-allowed roughly twice the reference latency.
-
-**Overload goodput** (``goodput_pinned``): goodput_fraction from
-the OL_Overload rows (Ok-within-SLO completions / scheduled
-arrivals, measured at ~4x the run's own saturation rate), failing
-*below* ``baseline - goodput_noise_floor``. The floor is absolute
-(fractions are already host-normalized: the overload rate scales
-with the runner's measured saturation) and documented in the
-baseline next to the values it pads; the committed 0.05 absorbs
-best-of-N scheduler variance while still catching an admission
-controller that stopped controlling (which collapses the adaptive
-row to the static rows' fraction, a ~0.1 drop). On top of the
-per-row bound, ``goodput_dominance`` rules assert the *ordering*
-the overload ladder exists to demonstrate: each rule's winner row
-must beat every row it is pinned against by at least ``margin`` —
-a relative gate that no per-row noise floor can absorb away.
-
-Every measured file is schema-validated before gating (top-level
+The measured file is schema-validated before gating (top-level
 "benchmarks" list, string names, numeric metric fields, p50 <= p99,
-fractions in [0, 1]) so a malformed or truncated BENCH_*.json fails
-loudly instead of silently dropping pinned coverage. Pinned kernels
-missing from the measured run fail the gate too — in every family,
-including goodput — so a renamed or deleted baseline row can't
-silently drop coverage. Pinned rows whose K:<n> walker count
-exceeds the runner's cores are skipped with a note rather than
-gated on time-shared noise.
+fractions in [0, 1]) so a malformed or truncated file fails loudly
+instead of silently dropping pinned coverage. Pinned rows missing
+from the measured run fail the gate too, so a renamed or deleted
+row can't silently drop coverage.
 
-Refresh the baseline with:
+Refresh the pins with:
 
-    ./sw_walkers_bench --benchmark_min_time=0.1 \
-        --benchmark_filter='large:0' \
-        --benchmark_out=smoke.json --benchmark_out_format=json
-
-(suffix-less min_time: older libbenchmark rejects "0.1s")
-    python3 tools/bench_regression.py smoke.json bench/baseline.json \
-        --update
+    ./latency_bench --smoke
+    python3 tools/bench_regression.py BENCH_latency.json \
+        bench/baseline.json --update
 """
 
 import argparse
 import json
-import os
-import re
 import sys
-
-LATENCY_FIELDS = ("p50_ns", "p99_ns")
 
 
 def schema_error(path, msg):
     sys.exit(f"schema error in {path}: {msg}")
 
 
-def validate_file(path, data):
-    """Schema-validate one BENCH_*.json before it can gate anything."""
+def load_entries(path):
+    """Schema-validate the measured file; name -> benchmark entry
+    for every non-aggregate row."""
+    with open(path) as f:
+        data = json.load(f)
     if not isinstance(data, dict):
         schema_error(path, "top level is not an object")
     benches = data.get("benchmarks")
     if not isinstance(benches, list):
-        schema_error(
-            path,
-            'non-list "benchmarks" (a benchmark results file must '
-            "carry a top-level list; metric sidecars without a "
-            '"benchmarks" key are skipped before this check)')
+        schema_error(path, 'non-list "benchmarks"')
+    out = {}
     for i, b in enumerate(benches):
         where = f"benchmarks[{i}]"
         if not isinstance(b, dict):
@@ -99,14 +62,12 @@ def validate_file(path, data):
         if not isinstance(name, str) or not name:
             schema_error(path, f"{where} lacks a non-empty name")
         # Aggregate rows (--benchmark_repetitions: mean/median/
-        # stddev/cv) carry *aggregated* user counters — stddev of
-        # p50 samples may legitimately exceed stddev of p99
-        # samples — and are excluded from gating anyway; only their
-        # shape is checked.
+        # stddev/cv) carry *aggregated* counters and are never
+        # gated; only their shape is checked.
         if b.get("run_type") == "aggregate":
             continue
-        for field in ("items_per_second",) + LATENCY_FIELDS + (
-                "p90_ns", "p999_ns", "max_ns"):
+        for field in ("items_per_second", "p50_ns", "p90_ns",
+                      "p99_ns", "p999_ns", "max_ns"):
             v = b.get(field)
             if v is not None and (not isinstance(v, (int, float))
                                   or isinstance(v, bool) or v < 0):
@@ -125,208 +86,29 @@ def validate_file(path, data):
             schema_error(
                 path, f"{where} ({name}): goodput_fraction is not "
                       f"in [0, 1]: {frac!r}")
-
-
-def load_entries(path):
-    """name -> full benchmark entry for every row in the run.
-
-    Metric sidecar files — JSON objects with no top-level
-    "benchmarks" key, e.g. a registry-snapshot dump written next to
-    a bench run — carry observability context, not gated rows. They
-    are skipped with a note (schema: gated files MUST have a
-    "benchmarks" list; sidecars MUST NOT) rather than schema-failed,
-    so a bench script can glob BENCH_*.json indiscriminately.
-    """
-    with open(path) as f:
-        data = json.load(f)
-    if isinstance(data, dict) and "benchmarks" not in data:
-        print(f"note: {path} has no \"benchmarks\" list — treating "
-              f"it as a non-gated metric sidecar and skipping")
-        return {}
-    validate_file(path, data)
-    out = {}
-    for b in data["benchmarks"]:
-        if b.get("run_type") == "aggregate":
-            continue
-        out[b["name"]] = b
+        out[name] = b
     return out
 
 
-def merge_entries(paths):
-    """Merge runs into one kernel namespace, refusing duplicates.
-
-    A benchmark name appearing in two measured files used to let the
-    last file win silently — a renamed or copy-pasted kernel could
-    shadow the one the baseline pins and fake a pass. Cross-file
-    duplicates are a merge error; fail loudly with the offenders.
-    """
-    merged = {}
-    origin = {}
-    dups = []
-    for path in paths:
-        for name, entry in load_entries(path).items():
-            if name in merged:
-                dups.append(f"{name} (in {origin[name]} and {path})")
-                continue
-            merged[name] = entry
-            origin[name] = path
-    if dups:
-        sys.exit("duplicate benchmark name(s) across measured "
-                 "files:\n  " + "\n  ".join(dups))
-    return merged, origin
-
-
-def provenance(origin, name, section):
-    """Failure-message suffix naming the baseline section a gated row
-    was pinned in and the measured file it matched — with several
-    merged BENCH_*.json files and four gate families, 'which pin
-    tripped, against which run' is the first triage question."""
-    src = origin.get(name)
-    where = f"matched {src}" if src else "no measured file matched"
-    return f" [baseline section '{section}'; {where}]"
-
-
-def walkers_of(name):
-    """The K:<n> walker count encoded in a benchmark name, or None."""
-    m = re.search(r"/K:(\d+)(/|$)", name)
-    return int(m.group(1)) if m else None
-
-
-def host_factor(measured, baseline):
-    """norm such that measured_items * norm ~ baseline-host items.
-
-    1.0 without a reference kernel. Latency allowances *multiply* by
-    1/norm's inverse — see gate_latency.
-    """
-    reference = baseline.get("reference")
-    if not reference:
-        return 1.0
-    ref = measured.get(reference)
-    ref_got = ref.get("items_per_second") if ref else None
-    ref_base = baseline.get("reference_items_per_second")
-    if ref_got is None:
-        sys.exit(f"reference kernel missing from measured run: "
-                 f"{reference}")
-    if not ref_base:
-        sys.exit("baseline has 'reference' but no "
-                 "'reference_items_per_second'; rerun --update")
-    norm = ref_base / ref_got
-    print(f"reference {reference}: {ref_got:.3e} measured vs "
-          f"{ref_base:.3e} baseline (host factor "
-          f"{1.0 / norm:.2f}x)\n")
-    return norm
-
-
-def gate_throughput(measured, origin, baseline, norm, threshold):
-    pinned = baseline.get("pinned", {})
-    failures = []
-    width = max(map(len, pinned), default=0)
-    cores = os.cpu_count() or 1
-    for name, base_ips in sorted(pinned.items()):
-        # K-walker rows need K real cores: on a smaller runner the
-        # walkers time-share and the measurement gates scheduler
-        # noise, not the kernel. Skip visibly rather than flake.
-        k = walkers_of(name)
-        if k is not None and k > cores:
-            print(f"  {name:<{width}}  SKIPPED (K:{k} > "
-                  f"{cores} hardware threads on this runner)")
-            continue
-        entry = measured.get(name)
-        got = entry.get("items_per_second") if entry else None
-        if got is None:
-            failures.append(f"{name}: missing from measured run"
-                            + provenance(origin, name, "pinned"))
-            print(f"  {name:<{width}}  MISSING")
-            continue
-        ratio = got * norm / base_ips
-        status = "ok"
-        if ratio < 1.0 - threshold:
-            status = "REGRESSION"
-            failures.append(
-                f"{name}: {got:.3e} items/s vs baseline "
-                f"{base_ips:.3e} ({ratio:.2f}x normalized, allowed "
-                f">= {1.0 - threshold:.2f}x)"
-                + provenance(origin, name, "pinned"))
-        print(f"  {name:<{width}}  {got:>10.3e} vs {base_ips:>10.3e}"
-              f"  {ratio:5.2f}x  {status}")
-    return len(pinned), failures
-
-
-def gate_latency(measured, origin, baseline, norm, threshold):
-    """Latency regressions point the other way: fail when measured
-    exceeds baseline * norm * (1 + threshold) + noise floor."""
-    pinned = baseline.get("latency_pinned", {})
-    floors = baseline.get("latency_noise_floor_ns", {})
-    failures = []
-    width = max(map(len, pinned), default=0)
-    cores = os.cpu_count() or 1
-    for name, fields in sorted(pinned.items()):
-        k = walkers_of(name)
-        if k is not None and k > cores:
-            print(f"  {name:<{width}}  SKIPPED (K:{k} > "
-                  f"{cores} hardware threads on this runner)")
-            continue
-        entry = measured.get(name)
-        if entry is None:
-            failures.append(
-                f"{name}: missing from measured run"
-                + provenance(origin, name, "latency_pinned"))
-            print(f"  {name:<{width}}  MISSING")
-            continue
-        for field in LATENCY_FIELDS:
-            base = fields.get(field)
-            if base is None:
-                continue
-            got = entry.get(field)
-            if got is None:
-                failures.append(
-                    f"{name}: {field} missing from measured row"
-                    + provenance(origin, name, "latency_pinned"))
-                print(f"  {name:<{width}}  {field:<7} MISSING")
-                continue
-            floor = floors.get(field, 0)
-            allowed = base * norm * (1.0 + threshold) + floor
-            status = "ok" if got <= allowed else "REGRESSION"
-            if got > allowed:
-                failures.append(
-                    f"{name}: {field} {got / 1e3:.1f}us vs baseline "
-                    f"{base / 1e3:.1f}us (allowed <= "
-                    f"{allowed / 1e3:.1f}us = base * {norm:.2f} host "
-                    f"* {1.0 + threshold:.2f} + {floor / 1e3:.0f}us "
-                    f"floor)"
-                    + provenance(origin, name, "latency_pinned"))
-            print(f"  {name:<{width}}  {field:<7} "
-                  f"{got / 1e3:>9.1f}us vs {base / 1e3:>9.1f}us  "
-                  f"(allowed {allowed / 1e3:>9.1f}us)  {status}")
-    return len(pinned), failures
-
-
-def gate_goodput(measured, origin, baseline):
-    """Overload-goodput gates: fail when a pinned row's
-    goodput_fraction drops below baseline - goodput_noise_floor, or
-    when a goodput_dominance rule's winner no longer beats every row
-    it is pinned against by its margin."""
+def gate_goodput(measured, baseline):
+    """Fail when a pinned row's goodput_fraction drops below
+    baseline - goodput_noise_floor, or when a goodput_dominance
+    rule's winner no longer beats every row it is pinned against by
+    its margin."""
     pinned = baseline.get("goodput_pinned", {})
     floor = baseline.get("goodput_noise_floor", 0.05)
     failures = []
     width = max(map(len, pinned), default=0)
-    cores = os.cpu_count() or 1
 
     def frac_of(name):
         entry = measured.get(name)
         return entry.get("goodput_fraction") if entry else None
 
     for name, base_frac in sorted(pinned.items()):
-        k = walkers_of(name)
-        if k is not None and k > cores:
-            print(f"  {name:<{width}}  SKIPPED (K:{k} > "
-                  f"{cores} hardware threads on this runner)")
-            continue
         got = frac_of(name)
         if got is None:
-            failures.append(
-                f"{name}: goodput row missing from measured run"
-                + provenance(origin, name, "goodput_pinned"))
+            failures.append(f"{name}: goodput row missing from "
+                            f"measured run [goodput_pinned]")
             print(f"  {name:<{width}}  MISSING")
             continue
         allowed = max(0.0, base_frac - floor)
@@ -335,8 +117,7 @@ def gate_goodput(measured, origin, baseline):
             failures.append(
                 f"{name}: goodput_fraction {got:.3f} vs baseline "
                 f"{base_frac:.3f} (allowed >= {allowed:.3f} = "
-                f"base - {floor:.2f} noise floor)"
-                + provenance(origin, name, "goodput_pinned"))
+                f"base - {floor:.2f} noise floor) [goodput_pinned]")
         print(f"  {name:<{width}}  {got:5.3f} vs {base_frac:5.3f}"
               f"  (allowed {allowed:5.3f})  {status}")
 
@@ -345,93 +126,53 @@ def gate_goodput(measured, origin, baseline):
         margin = rule.get("margin", 0.0)
         w = frac_of(winner)
         if w is None:
-            failures.append(
-                f"dominance rule: winner row missing from measured "
-                f"run: {winner}"
-                + provenance(origin, winner, "goodput_dominance"))
+            failures.append(f"dominance rule: winner row missing "
+                            f"from measured run: {winner}")
             continue
         for other in rule["over"]:
             v = frac_of(other)
             if v is None:
-                failures.append(
-                    f"dominance rule: row missing from measured "
-                    f"run: {other}"
-                    + provenance(origin, other, "goodput_dominance"))
+                failures.append(f"dominance rule: row missing from "
+                                f"measured run: {other}")
                 continue
             status = "ok" if w >= v + margin else "REGRESSION"
             if w < v + margin:
                 failures.append(
                     f"{winner}: goodput_fraction {w:.3f} no longer "
                     f"beats {other} ({v:.3f}) by margin {margin:.2f}"
-                    + provenance(origin, winner, "goodput_dominance"))
+                    f" [goodput_dominance]")
             print(f"  dominance: {winner} ({w:.3f}) >= "
                   f"{other} ({v:.3f}) + {margin:.2f}  {status}")
     return len(pinned), failures
 
 
 def update_baseline(measured, baseline, path):
-    names = list(baseline.get("pinned", {}))
-    reference = baseline.get("reference")
-    if reference:
-        names.append(reference)
-    lat_names = list(baseline.get("latency_pinned", {}))
-    good_names = list(baseline.get("goodput_pinned", {}))
+    names = list(baseline.get("goodput_pinned", {}))
     missing = [n for n in names if n not in measured or
-               "items_per_second" not in measured[n]]
-    missing += [n for n in lat_names
-                if n not in measured or
-                any(f not in measured[n] for f in LATENCY_FIELDS)]
-    missing += [n for n in good_names
-                if n not in measured or
-                "goodput_fraction" not in measured[n]]
+               "goodput_fraction" not in measured[n]]
     if missing:
-        sys.exit("--update: measured run lacks pinned kernels:\n  "
+        sys.exit("--update: measured run lacks pinned rows:\n  "
                  + "\n  ".join(missing))
-    baseline["pinned"] = {
-        n: measured[n]["items_per_second"]
-        for n in baseline.get("pinned", {})
+    baseline["goodput_pinned"] = {
+        n: measured[n]["goodput_fraction"] for n in names
     }
-    if reference:
-        baseline["reference_items_per_second"] = \
-            measured[reference]["items_per_second"]
-    if lat_names:
-        baseline["latency_pinned"] = {
-            n: {f: measured[n][f] for f in LATENCY_FIELDS}
-            for n in lat_names
-        }
-    if good_names:
-        baseline["goodput_pinned"] = {
-            n: measured[n]["goodput_fraction"] for n in good_names
-        }
     with open(path, "w") as f:
         json.dump(baseline, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"updated {len(baseline.get('pinned', {}))} throughput + "
-          f"{len(lat_names)} latency + {len(good_names)} goodput "
-          f"kernels in {path}")
+    print(f"updated {len(names)} goodput rows in {path}")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("measured", nargs="+",
-                    help="benchmark JSON file(s) from the smoke "
-                         "run(s); several files (e.g. the "
-                         "sw_walkers, service, and latency smoke "
-                         "runs) merge into one kernel namespace")
+    ap.add_argument("measured",
+                    help="BENCH_latency.json from latency_bench")
     ap.add_argument("baseline", help="committed bench/baseline.json")
-    ap.add_argument("--threshold", type=float, default=0.25,
-                    help="max allowed fractional throughput "
-                         "regression (default 0.25 = 25%%)")
-    ap.add_argument("--latency-threshold", type=float, default=0.40,
-                    help="max allowed fractional latency-percentile "
-                         "increase, before the noise floor "
-                         "(default 0.40 = 40%%)")
     ap.add_argument("--update", action="store_true",
-                    help="rewrite the baseline's pinned values from "
+                    help="rewrite the baseline's goodput pins from "
                          "the measured run instead of gating")
     args = ap.parse_args()
 
-    measured, origin = merge_entries(args.measured)
+    measured = load_entries(args.measured)
     with open(args.baseline) as f:
         baseline = json.load(f)
 
@@ -439,26 +180,15 @@ def main():
         update_baseline(measured, baseline, args.baseline)
         return
 
-    norm = host_factor(measured, baseline)
-    n_tp, failures = gate_throughput(measured, origin, baseline,
-                                     norm, args.threshold)
-    n_lat, lat_failures = gate_latency(measured, origin, baseline,
-                                       norm,
-                                       args.latency_threshold)
-    n_good, good_failures = gate_goodput(measured, origin,
-                                         baseline)
-    failures += lat_failures + good_failures
-
+    n_good, failures = gate_goodput(measured, baseline)
     if failures:
-        print(f"\n{len(failures)} pinned kernel(s) regressed:",
+        print(f"\n{len(failures)} goodput check(s) failed:",
               file=sys.stderr)
         for f_ in failures:
             print(f"  {f_}", file=sys.stderr)
         sys.exit(1)
-    print(f"\nall {n_tp} throughput kernels within "
-          f"{args.threshold:.0%}, {n_lat} latency rows within "
-          f"{args.latency_threshold:.0%}+floor, and {n_good} "
-          f"goodput rows within the noise floor of baseline")
+    print(f"\nall {n_good} goodput rows within the noise floor of "
+          f"baseline, and every dominance rule holds")
 
 
 if __name__ == "__main__":
